@@ -368,7 +368,7 @@ func BenchmarkAblationFastPath(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			done := false
 			m.Prober.StartOne(probe.Spec{Dst: dst, Kind: probe.PingRR}, 0, func(probe.Result) { done = true })
-			s.Camp.Eng.Run()
+			s.Camp.Run()
 			if !done {
 				b.Fatal("probe unresolved")
 			}
@@ -414,7 +414,7 @@ func BenchmarkBuildVsClone(b *testing.B) {
 // K clone replicas → VP partition) and the retained heap one fleet
 // costs, per shard count. The source topology and its freeze are shared
 // setup: spin-up here is pure cloning, which is what a study pays when
-// its sequential campaign already built the plane.
+// its single-engine campaign already built the plane.
 func BenchmarkFleetSpinup(b *testing.B) {
 	cfg := topology.DefaultConfig(topology.Epoch2016).Scale(benchScale)
 	src := topology.MustBuild(cfg)

@@ -171,7 +171,13 @@ func main() {
 			t0 = time.Now()
 			fmt.Fprintf(os.Stderr, "# running %-8s ...", name)
 		}
-		if err := fn(); err != nil {
+		err := fn()
+		if err == nil {
+			// A contained shard panic leaves partial results behind;
+			// the run must not pass them off as complete.
+			err = inet.ShardErrors()
+		}
+		if err != nil {
 			if *progress {
 				fmt.Fprintln(os.Stderr, " failed")
 			}
@@ -350,45 +356,24 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return os.Rename(f.Name(), path)
 }
 
-// runAllToDir mirrors RunAll but tees each experiment into its own
-// file, each written atomically.
+// runAllToDir runs recordroute.AllExperiments like RunAll but tees
+// each experiment into its own file, each written atomically.
 func runAllToDir(inet *recordroute.Internet, w *os.File, dir string) (recordroute.Report, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return recordroute.Report{}, err
 	}
 	var rep recordroute.Report
-	run := func(name string, fn func(out io.Writer) error) error {
-		path := filepath.Join(dir, name+".txt")
-		if err := writeFileAtomic(path, fn); err != nil {
-			return err
+	for _, ex := range recordroute.AllExperiments() {
+		path := filepath.Join(dir, ex.Name+".txt")
+		err := writeFileAtomic(path, func(out io.Writer) error { return ex.Run(inet, out, &rep) })
+		if err == nil {
+			err = inet.ShardErrors()
 		}
-		fmt.Fprintf(os.Stderr, "# wrote %s\n", path)
-		return nil
-	}
-	steps := []struct {
-		name string
-		fn   func(out io.Writer) error
-	}{
-		{"table1", func(out io.Writer) error { rep.Table1 = inet.Table1(out); return nil }},
-		{"figure1", func(out io.Writer) error { rep.Reachability = inet.Figure1Reachability(out); return nil }},
-		{"figure2", func(out io.Writer) error {
-			var err error
-			rep.Epochs, err = inet.Figure2Epochs(out)
-			return err
-		}},
-		{"audit", func(out io.Writer) error { rep.StampAudit = inet.StampAudit(out, 0); return nil }},
-		{"figure3", func(out io.Writer) error { rep.Clouds = inet.Figure3Clouds(out, 0); return nil }},
-		{"figure4", func(out io.Writer) error { rep.RateLimit = inet.Figure4RateLimit(out, 1000); return nil }},
-		{"figure5", func(out io.Writer) error { rep.TTL = inet.Figure5TTL(out, 0); return nil }},
-		{"atlas", func(out io.Writer) error { rep.Atlas = inet.TopologyAtlas(out, 0); return nil }},
-		{"lsrr", func(out io.Writer) error { rep.SourceRoute = inet.SourceRouteCheck(out, 0); return nil }},
-	}
-	for _, st := range steps {
-		if err := run(st.name, st.fn); err != nil {
+		if err != nil {
 			return rep, err
 		}
+		fmt.Fprintf(os.Stderr, "# wrote %s\n", path)
 	}
-	rep.VPResponse = inet.VPResponseDistribution()
 	fmt.Fprintln(w, "# per-experiment outputs written; see -outdir")
 	return rep, nil
 }

@@ -1,10 +1,11 @@
 package recordroute
 
 import (
+	"fmt"
 	"io"
 	"net/netip"
 
-	"recordroute/internal/core"
+	"recordroute/internal/analysis"
 	"recordroute/internal/probe"
 	"recordroute/internal/study"
 )
@@ -272,20 +273,19 @@ type Classification struct {
 func (in *Internet) ClassifyDestination(dst netip.Addr) Classification {
 	var results []probe.Result
 	collect := func(kind probe.Kind) {
-		for _, vp := range in.st.Camp.VPs {
-			vp := vp
+		for _, vp := range in.platformVPs() {
 			vp.Prober.StartOne(probe.Spec{Dst: dst, Kind: kind}, in.opts.timeout, func(r probe.Result) {
 				results = append(results, r)
 			})
 		}
-		in.st.Camp.Eng.Run()
+		in.st.Camp.Run()
 	}
 	collect(probe.Ping)
 	collect(probe.PingRR)
-	v := core.Classify(dst, results, nil)
+	v := analysis.Classify(dst, results, nil)
 	if v.FalseNegativeSignal && v.BestSlot == 0 {
 		collect(probe.PingRRUDP)
-		v = core.Classify(dst, results, nil)
+		v = analysis.Classify(dst, results, nil)
 	}
 	return Classification{Class: v.Class.String(), BestSlot: v.BestSlot, FalseNegativeSignal: v.FalseNegativeSignal}
 }
@@ -525,31 +525,78 @@ type Report struct {
 	SourceRoute  SourceRouteSummary
 }
 
-// RunAll executes every experiment in paper order, rendering each to w
-// (nil suppresses rendering) and returning the combined report.
+// Experiment is one entry of the paper-order `all` run.
+type Experiment struct {
+	// Name is the experiment's file stem under rrstudy -outdir
+	// ("table1", "figure1", ...).
+	Name string
+	// Run renders the experiment to w (nil suppresses rendering) and
+	// stores its summary in rep.
+	Run func(in *Internet, w io.Writer, rep *Report) error
+}
+
+// AllExperiments lists the nine experiments RunAll runs, in paper
+// order, with the default sample caps.
+func AllExperiments() []Experiment {
+	return []Experiment{
+		{"table1", func(in *Internet, w io.Writer, rep *Report) error {
+			rep.Table1 = in.Table1(w)
+			rep.VPResponse = in.VPResponseDistribution()
+			return nil
+		}},
+		{"figure1", func(in *Internet, w io.Writer, rep *Report) error {
+			rep.Reachability = in.Figure1Reachability(w)
+			return nil
+		}},
+		{"figure2", func(in *Internet, w io.Writer, rep *Report) (err error) {
+			rep.Epochs, err = in.Figure2Epochs(w)
+			return err
+		}},
+		{"audit", func(in *Internet, w io.Writer, rep *Report) error {
+			rep.StampAudit = in.StampAudit(w, 0)
+			return nil
+		}},
+		{"figure3", func(in *Internet, w io.Writer, rep *Report) error {
+			rep.Clouds = in.Figure3Clouds(w, 0)
+			return nil
+		}},
+		{"figure4", func(in *Internet, w io.Writer, rep *Report) error {
+			rep.RateLimit = in.Figure4RateLimit(w, 1000)
+			return nil
+		}},
+		{"figure5", func(in *Internet, w io.Writer, rep *Report) error {
+			rep.TTL = in.Figure5TTL(w, 0)
+			return nil
+		}},
+		{"atlas", func(in *Internet, w io.Writer, rep *Report) error {
+			rep.Atlas = in.TopologyAtlas(w, 0)
+			return nil
+		}},
+		{"lsrr", func(in *Internet, w io.Writer, rep *Report) error {
+			rep.SourceRoute = in.SourceRouteCheck(w, 0)
+			return nil
+		}},
+	}
+}
+
+// RunAll executes every experiment of AllExperiments in order, rendering
+// each to w (nil suppresses rendering) and returning the combined
+// report. It stops at the first experiment that fails or leaves a
+// campaign shard dead (ShardErrors), since later renders would rest on
+// partial results.
 func (in *Internet) RunAll(w io.Writer) (Report, error) {
 	var rep Report
-	rep.Table1 = in.Table1(w)
-	rep.VPResponse = in.VPResponseDistribution()
-	nl(w)
-	rep.Reachability = in.Figure1Reachability(w)
-	nl(w)
-	var err error
-	if rep.Epochs, err = in.Figure2Epochs(w); err != nil {
-		return rep, err
+	for i, ex := range AllExperiments() {
+		if i > 0 {
+			nl(w)
+		}
+		if err := ex.Run(in, w, &rep); err != nil {
+			return rep, err
+		}
+		if err := in.ShardErrors(); err != nil {
+			return rep, fmt.Errorf("%s: %w", ex.Name, err)
+		}
 	}
-	nl(w)
-	rep.StampAudit = in.StampAudit(w, 0)
-	nl(w)
-	rep.Clouds = in.Figure3Clouds(w, 0)
-	nl(w)
-	rep.RateLimit = in.Figure4RateLimit(w, 1000)
-	nl(w)
-	rep.TTL = in.Figure5TTL(w, 0)
-	nl(w)
-	rep.Atlas = in.TopologyAtlas(w, 0)
-	nl(w)
-	rep.SourceRoute = in.SourceRouteCheck(w, 0)
 	return rep, nil
 }
 

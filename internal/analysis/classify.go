@@ -2,6 +2,8 @@
 // artifacts: destination classifications (ping-responsive,
 // RR-responsive, RR-reachable), hop-distance distributions, greedy
 // vantage-point selection, AS-path stamping audits, and rendered tables.
+// Classify is the single statement of the §3.1 per-destination rules
+// the aggregate classifications here apply.
 //
 // The package deliberately works from probe results and small callback
 // interfaces (address→ASN, address→type) rather than from topology
@@ -9,6 +11,7 @@
 package analysis
 
 import (
+	"fmt"
 	"net/netip"
 	"sort"
 
@@ -95,7 +98,7 @@ func AggregateRR(perVP map[string][]probe.Result) map[netip.Addr]*RRDestStat {
 				continue
 			}
 			st.Responses++
-			slot := destSlot(r)
+			slot := destSlot(r, r.Dst, nil)
 			st.SlotsByVP[vp] = slot
 			if slot == 0 && r.RRSlotsRemaining() > 0 {
 				st.SawFreeSlots = true
@@ -109,11 +112,15 @@ func AggregateRR(perVP map[string][]probe.Result) map[netip.Addr]*RRDestStat {
 	return stats
 }
 
-// destSlot returns the 1-based RR slot containing the probed address,
-// or 0.
-func destSlot(r probe.Result) int {
+// destSlot returns the 1-based RR slot where canon was recorded, or 0.
+// aliasOf maps each recorded hop to its alias-set representative before
+// the comparison; nil compares hops as they are.
+func destSlot(r probe.Result, canon netip.Addr, aliasOf func(netip.Addr) netip.Addr) int {
 	for i, h := range r.RR {
-		if h == r.Dst {
+		if aliasOf != nil {
+			h = aliasOf(h)
+		}
+		if h == canon {
 			return i + 1
 		}
 	}
@@ -190,4 +197,140 @@ func ApplyRRUDP(stats map[netip.Addr]*RRDestStat, perVP map[string][]probe.Resul
 		}
 	}
 	return len(reclassified)
+}
+
+// The Record Route option's structural limits (RFC 791), which the
+// paper's methodology revolves around.
+const (
+	// NineHopLimit is the option's slot capacity: a destination farther
+	// than nine stamping hops from every vantage point cannot appear in
+	// any RR header.
+	NineHopLimit = 9
+	// ReversePathLimit is the slot budget left for the destination's
+	// own stamp while still recording at least one reverse hop — the
+	// §3.3 criterion for measuring reverse paths (Reverse Traceroute).
+	ReversePathLimit = 8
+)
+
+// Class is a destination's §3.1 classification.
+type Class int
+
+const (
+	// ClassUnresponsive answered nothing.
+	ClassUnresponsive Class = iota
+	// ClassPingResponsive answered a plain ping but no ping-RR.
+	ClassPingResponsive
+	// ClassRRResponsive answered a ping-RR with the option copied into the
+	// reply, but never appeared within the nine slots.
+	ClassRRResponsive
+	// ClassRRReachable appeared in an RR header within nine slots of some
+	// vantage point.
+	ClassRRReachable
+	// ClassReverseMeasurable appeared within eight slots: its reverse path
+	// toward a vantage point is measurable.
+	ClassReverseMeasurable
+)
+
+// String names the classification.
+func (c Class) String() string {
+	switch c {
+	case ClassUnresponsive:
+		return "unresponsive"
+	case ClassPingResponsive:
+		return "ping-responsive"
+	case ClassRRResponsive:
+		return "rr-responsive"
+	case ClassRRReachable:
+		return "rr-reachable"
+	case ClassReverseMeasurable:
+		return "reverse-measurable"
+	default:
+		return fmt.Sprintf("class(%d)", int(c))
+	}
+}
+
+// AtLeast reports whether c satisfies the threshold class q (the
+// classes are ordered: each level implies the previous ones, except
+// that ping- and RR-responsiveness are measured by different probes;
+// per §3.2, 75% of ping-responsive destinations are also RR-responsive).
+func (c Class) AtLeast(q Class) bool { return c >= q }
+
+// Verdict is a destination's full classification with its evidence.
+type Verdict struct {
+	Dst   netip.Addr
+	Class Class
+	// BestSlot is the smallest 1-based RR slot the destination (or a
+	// known alias) occupied across all results; 0 when never recorded.
+	BestSlot int
+	// FalseNegativeSignal marks responses whose option had free slots
+	// yet no destination stamp — the §3.3 signature worth re-testing
+	// with alias resolution or ping-RRudp.
+	FalseNegativeSignal bool
+}
+
+// Classify applies the §3.1 rules to one destination's probe results
+// (any mix of plain pings, ping-RRs, and ping-RRudps from any number of
+// vantage points). aliasOf maps addresses to their alias-set
+// representative; nil means no alias knowledge.
+func Classify(dst netip.Addr, results []probe.Result, aliasOf func(netip.Addr) netip.Addr) Verdict {
+	if aliasOf == nil {
+		aliasOf = func(a netip.Addr) netip.Addr { return a }
+	}
+	v := Verdict{Dst: dst}
+	canon := aliasOf(dst)
+
+	pingResp, rrResp := false, false
+	for _, r := range results {
+		if aliasOf(r.Dst) != canon {
+			continue
+		}
+		switch r.Kind {
+		case probe.Ping, probe.TTLPing:
+			if r.Type == probe.EchoReply {
+				pingResp = true
+			}
+		case probe.PingRR, probe.TTLPingRR:
+			if r.Type != probe.EchoReply {
+				continue
+			}
+			// Replying to a ping implies ping-responsiveness even when
+			// the probe carried an option.
+			pingResp = true
+			if !r.HasRR {
+				continue // option stripped from the reply: not RR-responsive
+			}
+			rrResp = true
+			slot := destSlot(r, canon, aliasOf)
+			if slot == 0 && r.RRSlotsRemaining() > 0 {
+				v.FalseNegativeSignal = true
+			}
+			if slot > 0 && (v.BestSlot == 0 || slot < v.BestSlot) {
+				v.BestSlot = slot
+			}
+		case probe.PingRRUDP:
+			// A port-unreachable whose quoted option still had room
+			// proves arrival within the slot limit (§3.3): credit the
+			// slot the destination's stamp would have taken.
+			if r.Type != probe.PortUnreachable || !r.HasRR || r.RRSlotsRemaining() <= 0 {
+				continue
+			}
+			if slot := len(r.RR) + 1; v.BestSlot == 0 || slot < v.BestSlot {
+				v.BestSlot = slot
+			}
+		}
+	}
+
+	switch {
+	case v.BestSlot > 0 && v.BestSlot <= ReversePathLimit:
+		v.Class = ClassReverseMeasurable
+	case v.BestSlot > 0 && v.BestSlot <= NineHopLimit:
+		v.Class = ClassRRReachable
+	case rrResp:
+		v.Class = ClassRRResponsive
+	case pingResp:
+		v.Class = ClassPingResponsive
+	default:
+		v.Class = ClassUnresponsive
+	}
+	return v
 }

@@ -174,3 +174,129 @@ func TestApplyRRUDPIgnoresFullOptions(t *testing.T) {
 		t.Errorf("full-option quote reclassified %d", n)
 	}
 }
+
+func rrReply(dst string, total int, hops ...string) probe.Result {
+	r := probe.Result{
+		Spec:         probe.Spec{Dst: a(dst), Kind: probe.PingRR},
+		Type:         probe.EchoReply,
+		HasRR:        true,
+		RRTotalSlots: total,
+	}
+	for _, h := range hops {
+		r.RR = append(r.RR, a(h))
+	}
+	return r
+}
+
+func TestClassifyLadder(t *testing.T) {
+	dst := "100.1.0.1"
+	cases := []struct {
+		name    string
+		results []probe.Result
+		want    Class
+		slot    int
+	}{
+		{"nothing", nil, ClassUnresponsive, 0},
+		{"timeouts only", []probe.Result{
+			{Spec: probe.Spec{Dst: a(dst), Kind: probe.Ping}, Type: probe.NoResponse},
+		}, ClassUnresponsive, 0},
+		{"ping only", []probe.Result{
+			{Spec: probe.Spec{Dst: a(dst), Kind: probe.Ping}, Type: probe.EchoReply},
+		}, ClassPingResponsive, 0},
+		{"rr reply without option", []probe.Result{
+			{Spec: probe.Spec{Dst: a(dst), Kind: probe.PingRR}, Type: probe.EchoReply},
+		}, ClassPingResponsive, 0},
+		{"rr responsive, option full, unstamped", []probe.Result{
+			rrReply(dst, 2, "9.0.0.1", "9.0.0.2"),
+		}, ClassRRResponsive, 0},
+		{"reachable at slot 9", []probe.Result{
+			rrReply(dst, 9, "1.0.0.1", "1.0.0.2", "1.0.0.3", "1.0.0.4",
+				"1.0.0.5", "1.0.0.6", "1.0.0.7", "1.0.0.8", dst),
+		}, ClassRRReachable, 9},
+		{"reverse-measurable at slot 3", []probe.Result{
+			rrReply(dst, 9, "1.0.0.1", "1.0.0.2", dst),
+		}, ClassReverseMeasurable, 3},
+		{"best slot across vantage points", []probe.Result{
+			rrReply(dst, 9, "1.0.0.1", "1.0.0.2", "1.0.0.3", "1.0.0.4",
+				"1.0.0.5", "1.0.0.6", "1.0.0.7", "1.0.0.8", dst),
+			rrReply(dst, 9, "2.0.0.1", dst),
+		}, ClassReverseMeasurable, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			v := Classify(a(dst), tc.results, nil)
+			if v.Class != tc.want || v.BestSlot != tc.slot {
+				t.Errorf("got %v slot %d, want %v slot %d", v.Class, v.BestSlot, tc.want, tc.slot)
+			}
+		})
+	}
+}
+
+func TestClassifyFalseNegativeSignal(t *testing.T) {
+	dst := "100.1.0.1"
+	v := Classify(a(dst), []probe.Result{rrReply(dst, 9, "9.0.0.1", "9.0.0.2")}, nil)
+	if v.Class != ClassRRResponsive || !v.FalseNegativeSignal {
+		t.Errorf("verdict = %+v, want RR-responsive with false-negative signal", v)
+	}
+}
+
+func TestClassifyAliasUpgrade(t *testing.T) {
+	dst, alias := "100.1.0.1", "100.1.0.129"
+	aliasOf := func(x netip.Addr) netip.Addr {
+		if x == a(alias) {
+			return a(dst)
+		}
+		return x
+	}
+	results := []probe.Result{rrReply(dst, 9, "9.0.0.1", alias)}
+	if v := Classify(a(dst), results, nil); v.Class != ClassRRResponsive {
+		t.Fatalf("without aliases: %v", v.Class)
+	}
+	v := Classify(a(dst), results, aliasOf)
+	if v.Class != ClassReverseMeasurable || v.BestSlot != 2 {
+		t.Errorf("with aliases: %+v", v)
+	}
+}
+
+func TestClassifyRRUDPUpgrade(t *testing.T) {
+	dst := "100.1.0.1"
+	results := []probe.Result{
+		rrReply(dst, 9, "9.0.0.1", "9.0.0.2"), // responsive, never stamped
+		{
+			Spec:         probe.Spec{Dst: a(dst), Kind: probe.PingRRUDP},
+			Type:         probe.PortUnreachable,
+			HasRR:        true,
+			QuotedRR:     true,
+			RR:           []netip.Addr{a("9.0.0.1"), a("9.0.0.2")},
+			RRTotalSlots: 9,
+		},
+	}
+	v := Classify(a(dst), results, nil)
+	if v.Class != ClassReverseMeasurable || v.BestSlot != 3 {
+		t.Errorf("verdict = %+v, want reverse-measurable at slot 3", v)
+	}
+}
+
+func TestClassifyIgnoresOtherDestinations(t *testing.T) {
+	v := Classify(a("100.1.0.1"), []probe.Result{rrReply("100.2.0.1", 9, "9.0.0.1", "100.2.0.1")}, nil)
+	if v.Class != ClassUnresponsive {
+		t.Errorf("foreign results classified: %v", v.Class)
+	}
+}
+
+func TestClassOrderingAndStrings(t *testing.T) {
+	order := []Class{ClassUnresponsive, ClassPingResponsive, ClassRRResponsive, ClassRRReachable, ClassReverseMeasurable}
+	for i := 1; i < len(order); i++ {
+		if !order[i].AtLeast(order[i-1]) {
+			t.Errorf("%v not at least %v", order[i], order[i-1])
+		}
+		if order[i-1].AtLeast(order[i]) {
+			t.Errorf("%v wrongly at least %v", order[i-1], order[i])
+		}
+	}
+	for _, c := range order {
+		if c.String() == "" {
+			t.Error("empty class name")
+		}
+	}
+}

@@ -1,33 +1,30 @@
 package measure
 
 import (
-	"context"
 	"net/netip"
+	"sync"
 
-	"recordroute/internal/netsim"
 	"recordroute/internal/obs"
 	"recordroute/internal/probe"
-	"recordroute/internal/topology"
 	"recordroute/internal/trace"
 )
 
 // Fleet is the campaign surface the study layer measures through: a set
 // of vantage points that can fan batches out and run the virtual clock
-// to quiescence. It is implemented by Campaign (one shared engine) and
-// ParallelCampaign (sharded engine replicas with a deterministic merge),
-// so experiments choose an execution strategy without changing shape.
+// to quiescence. ParallelCampaign implements it, whether its replicas
+// are K clones of a frozen snapshot or the one topology it was handed
+// (NewSingleEngineCampaign), so experiments choose an execution
+// strategy without changing shape.
 //
-// Partial-results contract: when a shard of a sharded executor fails
-// mid-primitive (a panic while its engine drains), the failure is
-// contained to that shard. The primitive still returns, merging the
-// surviving shards' results as usual; the failed shard's VPs are
-// missing (or, if the failure struck between batch completions,
-// partial) in the returned maps and are excluded from every later
-// primitive. ShardErrors reports exactly which VPs were lost and why —
-// callers that need completeness must check it after each primitive.
-// The single-engine Campaign has no shard boundary to contain a
-// failure, so there a panic propagates to the caller and ShardErrors
-// is always empty.
+// Partial-results contract: when a shard fails mid-primitive (a panic
+// while its engine drains), the failure is contained to that shard.
+// The primitive still returns, merging the surviving shards' results
+// as usual; the failed shard's VPs are missing (or, if the failure
+// struck between batch completions, partial) in the returned maps and
+// are excluded from every later primitive. ShardErrors reports exactly
+// which VPs were lost and why — callers that need completeness must
+// check it after each primitive. A single-engine campaign contains its
+// panics the same way: its one shard dies and every VP is lost.
 type Fleet interface {
 	// VP returns the named vantage point, or nil.
 	VP(name string) *VantagePoint
@@ -74,183 +71,130 @@ type Fleet interface {
 	Metrics(label string) *obs.Snapshot
 }
 
-// Campaign fans measurements across many vantage points concurrently
-// inside one simulation engine, offering synchronous collect-all APIs:
-// every VP's batch is started, the engine runs to quiescence, and the
-// per-VP results come back keyed by VP name.
-type Campaign struct {
-	Eng *netsim.Engine
-	Net *netsim.Network
-	VPs []*VantagePoint
+var _ Fleet = (*ParallelCampaign)(nil)
 
-	byName map[string]*VantagePoint
-	ctx    context.Context // nil unless cancellation is armed (SetContext)
+// batchJournal tells perVPPhase how one primitive's per-VP batches
+// live in a journal: how to restore a completed batch on resume, how
+// to record a fresh one, and how many prober sequence numbers it
+// consumed. A nil batchJournal leaves the phase unarchived — like Run,
+// a resumed campaign re-executes it.
+type batchJournal[T any] struct {
+	archived func(j *Journal, phase int, vp string) (T, bool)
+	record   func(j *Journal, phase int, kind, vp string, v T)
+	seqs     func(T) int
 }
 
-// NewCampaign builds a campaign over the given topology VPs (any mix of
-// platform and cloud VPs). Prober identifiers are assigned sequentially
-// so no two VPs cross-match.
-func NewCampaign(topo *topology.Topology, vps []*topology.VP) *Campaign {
-	c := &Campaign{
-		Eng:    topo.Net.Engine(),
-		Net:    topo.Net,
-		byName: make(map[string]*VantagePoint, len(vps)),
+var (
+	flatBatches = &batchJournal[[]probe.Result]{
+		archived: (*Journal).archivedResults,
+		record:   (*Journal).recordResults,
+		seqs:     consumedSeqs,
 	}
-	for i, v := range vps {
-		vp := NewVantagePoint(v.Name, v.Host, topo.Net.Engine(), uint16(0x4000+i))
-		c.VPs = append(c.VPs, vp)
-		c.byName[v.Name] = vp
+	groupedBatches = &batchJournal[[][]probe.Result]{
+		archived: (*Journal).archivedGroups,
+		record:   (*Journal).recordGroups,
+		seqs: func(gs [][]probe.Result) int {
+			n := 0
+			for _, g := range gs {
+				n += consumedSeqs(g)
+			}
+			return n
+		},
 	}
-	return c
+)
+
+// perVPPhase is the one skeleton of every per-VP primitive: open the
+// phase, restore the batches a resumed journal already holds, start
+// each remaining VP's batch on its home shard and drain the shard,
+// checkpoint every completed batch, then re-synchronize the clocks and
+// close the phase. start launches one VP's batch and calls done with
+// its result; it may return without starting anything when the VP has
+// nothing to probe, and the VP is then absent from the returned map.
+func perVPPhase[T any](pc *ParallelCampaign, kind string, bj *batchJournal[T], start func(vp *VantagePoint, done func(T))) map[string]T {
+	pc.mustInit()
+	phase, journaled := pc.beginPhase(kind)
+	archive := journaled && bj != nil
+	out := make(map[string]T, len(pc.vpNames))
+	skip := make(map[string]bool)
+	if archive {
+		for _, name := range pc.vpNames {
+			if v, ok := bj.archived(pc.journal, phase, name); ok {
+				out[name] = v
+				skip[name] = true
+				pc.replaySeqs(name, bj.seqs(v))
+			}
+		}
+	}
+	var mu sync.Mutex
+	pc.eachShard(func(rep *replica) {
+		for _, vp := range rep.vps {
+			vp := vp
+			if skip[vp.Name] {
+				continue
+			}
+			start(vp, func(v T) {
+				mu.Lock()
+				out[vp.Name] = v
+				mu.Unlock()
+				pc.checkpoint(func() {
+					if archive {
+						bj.record(pc.journal, phase, kind, vp.Name, v)
+					}
+				})
+			})
+		}
+		rep.eng.Run()
+	})
+	pc.syncClocks()
+	pc.endPhase(phase, journaled)
+	return out
 }
 
-// VP returns the named vantage point, or nil.
-func (c *Campaign) VP(name string) *VantagePoint {
-	return c.byName[name]
-}
-
-// SetContext arms cooperative cancellation, checked at the start of
-// every primitive: once ctx is done the next primitive aborts with a
-// Canceled panic (classify via CanceledFrom) instead of starting more
-// probes. The single shared engine has no per-shard containment, so
-// unlike ParallelCampaign there is no per-batch checkpoint abort — a
-// running drain always completes.
-func (c *Campaign) SetContext(ctx context.Context) { c.ctx = ctx }
-
-// Run drains the engine's event queue.
-func (c *Campaign) Run() {
-	checkCanceled(c.ctx)
-	c.Eng.Run()
-}
-
-// ShardErrors always returns nil: the single shared engine has no
-// shard boundary to contain a failure, so a panic propagates to the
-// caller instead of being recovered per-shard.
-func (c *Campaign) ShardErrors() []ShardError { return nil }
-
-// PingRRAll sends one ping-RR from every VP to every destination in
-// dests (per-VP order may be permuted via orderFor) and returns results
-// keyed by VP name, in that VP's send order.
-func (c *Campaign) PingRRAll(dests []netip.Addr, opts probe.Options, orderFor func(vp string, dests []netip.Addr) []netip.Addr) map[string][]probe.Result {
-	checkCanceled(c.ctx)
-	out := make(map[string][]probe.Result, len(c.VPs))
-	for _, vp := range c.VPs {
-		vp := vp
+// PingRRAll sends one ping-RR from every VP to every destination (per-VP
+// order may be permuted via orderFor) and returns results keyed by VP
+// name, in that VP's send order.
+func (pc *ParallelCampaign) PingRRAll(dests []netip.Addr, opts probe.Options, orderFor func(vp string, dests []netip.Addr) []netip.Addr) map[string][]probe.Result {
+	return perVPPhase(pc, "ping-rr-all", flatBatches, func(vp *VantagePoint, done func([]probe.Result)) {
 		ds := dests
 		if orderFor != nil {
 			ds = orderFor(vp.Name, dests)
 		}
-		vp.PingRRBatch(ds, opts, func(rs []probe.Result) { out[vp.Name] = rs })
-	}
-	c.Eng.Run()
-	return out
+		vp.PingRRBatch(ds, opts, done)
+	})
 }
 
 // PingAll sends count plain pings per destination from every VP.
-func (c *Campaign) PingAll(dests []netip.Addr, count int, opts probe.Options) map[string][][]probe.Result {
-	checkCanceled(c.ctx)
-	out := make(map[string][][]probe.Result, len(c.VPs))
-	for _, vp := range c.VPs {
-		vp := vp
-		vp.PingBatch(dests, count, opts, func(rs [][]probe.Result) { out[vp.Name] = rs })
-	}
-	c.Eng.Run()
-	return out
-}
-
-// PingBatchVP sends count plain pings per destination from the single
-// named VP over the shared engine — the full [0,len(dests)) range of
-// the indexed schedule, byte-identical to what a sharded fleet's merged
-// ranges produce (mod ReplyIPID).
-func (c *Campaign) PingBatchVP(name string, dests []netip.Addr, count int, opts probe.Options) [][]probe.Result {
-	checkCanceled(c.ctx)
-	vp := c.byName[name]
-	if vp == nil {
-		return nil
-	}
-	var out [][]probe.Result
-	vp.PingBatchRange(dests, 0, len(dests), count, opts, func(gs [][]probe.Result) { out = gs })
-	c.Eng.Run()
-	return out
-}
-
-// PingSeriesVP probes every address rounds times from the named VP on
-// the shared engine, in round-major interleaved order. group is unused
-// here: one engine holds every counter.
-func (c *Campaign) PingSeriesVP(name string, addrs []netip.Addr, group []int, rounds int, opts probe.Options) []probe.Result {
-	checkCanceled(c.ctx)
-	vp := c.byName[name]
-	if vp == nil {
-		return nil
-	}
-	sel := make([]int, len(addrs))
-	for i := range sel {
-		sel[i] = i
-	}
-	var out []probe.Result
-	vp.PingSeriesSlice(addrs, sel, rounds, opts, func(rs []probe.Result) { out = rs })
-	c.Eng.Run()
-	return out
+func (pc *ParallelCampaign) PingAll(dests []netip.Addr, count int, opts probe.Options) map[string][][]probe.Result {
+	return perVPPhase(pc, "ping-all", groupedBatches, func(vp *VantagePoint, done func([][]probe.Result)) {
+		vp.PingBatch(dests, count, opts, done)
+	})
 }
 
 // PingRRUDPAll sends one ping-RRudp from every VP to its listed targets.
-func (c *Campaign) PingRRUDPAll(perVP map[string][]netip.Addr, opts probe.Options) map[string][]probe.Result {
-	checkCanceled(c.ctx)
-	out := make(map[string][]probe.Result, len(c.VPs))
-	for _, vp := range c.VPs {
-		vp := vp
-		ds := perVP[vp.Name]
-		if len(ds) == 0 {
-			continue
+func (pc *ParallelCampaign) PingRRUDPAll(perVP map[string][]netip.Addr, opts probe.Options) map[string][]probe.Result {
+	return perVPPhase(pc, "ping-rr-udp-all", flatBatches, func(vp *VantagePoint, done func([]probe.Result)) {
+		if ds := perVP[vp.Name]; len(ds) > 0 {
+			vp.PingRRUDPBatch(ds, opts, done)
 		}
-		vp.PingRRUDPBatch(ds, opts, func(rs []probe.Result) { out[vp.Name] = rs })
-	}
-	c.Eng.Run()
-	return out
-}
-
-// PingTSAll sends one Internet Timestamp probe from every VP to every
-// destination.
-func (c *Campaign) PingTSAll(dests []netip.Addr, opts probe.Options) map[string][]probe.Result {
-	checkCanceled(c.ctx)
-	out := make(map[string][]probe.Result, len(c.VPs))
-	for _, vp := range c.VPs {
-		vp := vp
-		vp.PingTSBatch(dests, opts, func(rs []probe.Result) { out[vp.Name] = rs })
-	}
-	c.Eng.Run()
-	return out
-}
-
-// TracerouteAll traces each VP's listed targets.
-func (c *Campaign) TracerouteAll(perVP map[string][]netip.Addr, opts TraceOptions) map[string][]Trace {
-	checkCanceled(c.ctx)
-	out := make(map[string][]Trace, len(c.VPs))
-	for _, vp := range c.VPs {
-		vp := vp
-		ds := perVP[vp.Name]
-		if len(ds) == 0 {
-			continue
-		}
-		vp.TracerouteBatch(ds, opts, func(ts []Trace) { out[vp.Name] = ts })
-	}
-	c.Eng.Run()
-	return out
+	})
 }
 
 // TTLPingRRAll sends TTL-limited ping-RRs: per VP, targets[i] probed
 // with ttls[i].
-func (c *Campaign) TTLPingRRAll(perVP map[string][]netip.Addr, ttls map[string][]uint8, opts probe.Options) map[string][]probe.Result {
-	checkCanceled(c.ctx)
-	out := make(map[string][]probe.Result, len(c.VPs))
-	for _, vp := range c.VPs {
-		vp := vp
-		ds := perVP[vp.Name]
-		if len(ds) == 0 {
-			continue
+func (pc *ParallelCampaign) TTLPingRRAll(perVP map[string][]netip.Addr, ttls map[string][]uint8, opts probe.Options) map[string][]probe.Result {
+	return perVPPhase(pc, "ttl-ping-rr-all", flatBatches, func(vp *VantagePoint, done func([]probe.Result)) {
+		if ds := perVP[vp.Name]; len(ds) > 0 {
+			vp.TTLPingRRBatch(ds, ttls[vp.Name], opts, done)
 		}
-		vp.TTLPingRRBatch(ds, ttls[vp.Name], opts, func(rs []probe.Result) { out[vp.Name] = rs })
-	}
-	c.Eng.Run()
-	return out
+	})
+}
+
+// TracerouteAll traces each VP's listed targets. Its batches are not
+// archived: a resumed journaled campaign re-executes the phase.
+func (pc *ParallelCampaign) TracerouteAll(perVP map[string][]netip.Addr, opts TraceOptions) map[string][]Trace {
+	return perVPPhase(pc, "traceroute-all", nil, func(vp *VantagePoint, done func([]Trace)) {
+		if ds := perVP[vp.Name]; len(ds) > 0 {
+			vp.TracerouteBatch(ds, opts, done)
+		}
+	})
 }

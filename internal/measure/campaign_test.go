@@ -9,7 +9,7 @@ import (
 
 func TestCampaignVPLookup(t *testing.T) {
 	topo := testTopo(t)
-	c := NewCampaign(topo, topo.VPs[:3])
+	c := NewSingleEngineCampaign(topo, topo.VPs[:3])
 	if c.VP(topo.VPs[0].Name) == nil {
 		t.Error("known VP not found")
 	}
@@ -21,7 +21,7 @@ func TestCampaignVPLookup(t *testing.T) {
 func TestCampaignPingAll(t *testing.T) {
 	topo := testTopo(t)
 	vps := unlimitedVPs(topo)[:2]
-	c := NewCampaign(topo, vps)
+	c := NewSingleEngineCampaign(topo, vps)
 	dests := responsiveDests(topo, 4)
 	got := c.PingAll(dests, 2, probe.Options{Rate: 500})
 	for _, vp := range vps {
@@ -33,32 +33,6 @@ func TestCampaignPingAll(t *testing.T) {
 			if len(g) != 2 {
 				t.Fatalf("dest %d: %d results", i, len(g))
 			}
-		}
-	}
-}
-
-func TestCampaignPingTSAll(t *testing.T) {
-	topo := testTopo(t)
-	dests := responsiveDests(topo, 4)
-	vps := rrCapableVPs(t, topo, dests[0], 2)
-	if len(vps) == 0 {
-		t.Skip("no capable VPs")
-	}
-	c := NewCampaign(topo, vps)
-	got := c.PingTSAll(dests, probe.Options{Rate: 500})
-	for _, vp := range vps {
-		rs := got[vp.Name]
-		if len(rs) != len(dests) {
-			t.Fatalf("%s: %d results", vp.Name, len(rs))
-		}
-		sawTS := false
-		for _, r := range rs {
-			if len(r.TS) > 0 {
-				sawTS = true
-			}
-		}
-		if !sawTS {
-			t.Errorf("%s: no timestamp entries in any result", vp.Name)
 		}
 	}
 }
@@ -79,7 +53,7 @@ func TestCampaignPingRRUDPAll(t *testing.T) {
 	if len(vps) == 0 {
 		t.Skip("no capable VP")
 	}
-	c := NewCampaign(topo, vps)
+	c := NewSingleEngineCampaign(topo, vps)
 	got := c.PingRRUDPAll(map[string][]netip.Addr{vps[0].Name: {udpDest}}, probe.Options{Rate: 100})
 	rs := got[vps[0].Name]
 	if len(rs) != 1 || rs[0].Type != probe.PortUnreachable {
@@ -94,7 +68,7 @@ func TestCampaignTTLPingRRAll(t *testing.T) {
 	if len(vps) == 0 {
 		t.Skip("no capable VP")
 	}
-	c := NewCampaign(topo, vps)
+	c := NewSingleEngineCampaign(topo, vps)
 	perVP := map[string][]netip.Addr{vps[0].Name: dests}
 	ttls := map[string][]uint8{vps[0].Name: {2, 64}}
 	got := c.TTLPingRRAll(perVP, ttls, probe.Options{Rate: 100})
@@ -112,28 +86,12 @@ func TestCampaignTTLPingRRAll(t *testing.T) {
 
 func TestCampaignEmptyPerVPMapsSkip(t *testing.T) {
 	topo := testTopo(t)
-	c := NewCampaign(topo, topo.VPs[:2])
+	c := NewSingleEngineCampaign(topo, topo.VPs[:2])
 	if got := c.TracerouteAll(nil, TraceOptions{}); len(got) != 0 {
 		t.Errorf("traceroutes from empty map: %d", len(got))
 	}
 	if got := c.PingRRUDPAll(nil, probe.Options{}); len(got) != 0 {
 		t.Errorf("udp from empty map: %d", len(got))
-	}
-}
-
-func TestPingTSBatchDirect(t *testing.T) {
-	topo := testTopo(t)
-	dests := responsiveDests(topo, 3)
-	raws := rrCapableVPs(t, topo, dests[0], 1)
-	if len(raws) == 0 {
-		t.Skip("no capable VP")
-	}
-	vp := NewVantagePoint("tsvp", raws[0].Host, topo.Net.Engine(), 0x5100)
-	var got []probe.Result
-	vp.PingTSBatch(dests, probe.Options{Rate: 500}, func(rs []probe.Result) { got = rs })
-	topo.Net.Engine().Run()
-	if len(got) != 3 {
-		t.Fatalf("results = %d", len(got))
 	}
 }
 

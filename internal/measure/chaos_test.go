@@ -360,13 +360,12 @@ func TestParallelCancelResume(t *testing.T) {
 	comparePerVP(t, "resume after cancel", baseRR, resRR)
 }
 
-// TestCampaignCancelAtPrimitiveStart covers the shared-engine Campaign:
-// its primitives check the context only at their start (no per-batch
-// aborts on a shared engine), so a done context refuses the next
-// primitive as a Canceled panic.
+// TestCampaignCancelAtPrimitiveStart covers a single-engine campaign: a
+// done context refuses the next primitive at its start, on the caller's
+// goroutine, as a Canceled panic.
 func TestCampaignCancelAtPrimitiveStart(t *testing.T) {
 	topo := testTopo(t)
-	c := NewCampaign(topo, unlimitedVPs(topo)[:2])
+	c := NewSingleEngineCampaign(topo, unlimitedVPs(topo)[:2])
 	ctx, cancel := context.WithCancel(context.Background())
 	c.SetContext(ctx)
 	ds := responsiveDests(topo, 4)

@@ -49,36 +49,7 @@ func mergeDeltas(sess *trace.Session, out map[string]*trace.VPRound) {
 	}
 }
 
-// DoubletreeAll runs one traceroute round: every VP with targets in
-// perVP traces them sequentially under sess's stop sets (or
-// exhaustively when opts.Exhaustive), then the per-VP deltas are
-// unioned into sess.Global — so the next round's forward probing
-// stops on everything this round discovered.
-func (c *Campaign) DoubletreeAll(perVP map[string][]netip.Addr, sess *trace.Session, opts trace.Options) map[string]*trace.VPRound {
-	checkCanceled(c.ctx)
-	out := make(map[string]*trace.VPRound, len(perVP))
-	for _, vp := range c.VPs {
-		if len(perVP[vp.Name]) > 0 {
-			sess.State(vp.Name) // pre-create while single-threaded
-		}
-	}
-	for _, vp := range c.VPs {
-		vp := vp
-		ds := perVP[vp.Name]
-		if len(ds) == 0 {
-			continue
-		}
-		trace.Run(vp.Name, vp.Prober, sess.State(vp.Name), sess.Global, sess.PrefixOf, ds, opts, func(r *trace.VPRound) {
-			out[vp.Name] = r
-			countRound(c.Net, r.Stats)
-		})
-	}
-	c.Eng.Run()
-	mergeDeltas(sess, out)
-	return out
-}
-
-// DoubletreeAll is the sharded round: each VP traces inside its own
+// DoubletreeAll runs one traceroute round: each VP traces inside its own
 // replica against the frozen sess.Global, per-VP deltas are merged
 // after every shard drains, and — journaled — each completed VP round
 // is checkpointed as its traces (stop-set effects replay from them via

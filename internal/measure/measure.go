@@ -1,8 +1,8 @@
 // Package measure implements the study's measurement primitives on top
 // of the probe engine: ping, ping-RR, ping-RRudp, TTL-limited ping-RR,
-// and traceroute, issued per vantage point, plus campaign helpers that
-// fan a batch across every vantage point concurrently inside one
-// simulation engine run.
+// and traceroute, issued per vantage point, plus the campaign executor
+// (ParallelCampaign) that fans a batch across every vantage point and
+// runs the simulation engines to quiescence.
 package measure
 
 import (
@@ -114,11 +114,6 @@ func (vp *VantagePoint) PingRRBatch(dsts []netip.Addr, opts probe.Options, done 
 // reclassification probe).
 func (vp *VantagePoint) PingRRUDPBatch(dsts []netip.Addr, opts probe.Options, done func([]probe.Result)) {
 	vp.Prober.StartBatch(specsFor(dsts, probe.PingRRUDP), opts, done)
-}
-
-// PingTSBatch sends one Internet Timestamp probe to every destination.
-func (vp *VantagePoint) PingTSBatch(dsts []netip.Addr, opts probe.Options, done func([]probe.Result)) {
-	vp.Prober.StartBatch(specsFor(dsts, probe.PingTS), opts, done)
 }
 
 // TTLPingRRBatch sends ping-RRs with per-destination initial TTLs

@@ -6,31 +6,6 @@ import (
 	"recordroute/internal/obs"
 )
 
-// Observe attaches an observability configuration to the campaign's
-// shared engine and every VP prober. A nil or inactive observer is a
-// no-op, leaving the hot paths with their bare nil checks. Attaching
-// never perturbs the run: all hooks record synchronously and schedule
-// nothing (see package obs).
-func (c *Campaign) Observe(o *obs.Observer) {
-	if !o.Active() {
-		return
-	}
-	if o.PerNode {
-		c.Net.EnableNodeCounters()
-	}
-	if o.Trace != nil {
-		c.Net.SetTracer(o.Trace.NetworkTracer())
-		for _, vp := range c.VPs {
-			vp.Prober.SetTracer(o.Trace.ProberTracer(vp.Name))
-		}
-	}
-}
-
-// Metrics captures the campaign's counters as a single-shard snapshot.
-func (c *Campaign) Metrics(label string) *obs.Snapshot {
-	return obs.NewSnapshot(label, obs.Capture("shard0", c.Net))
-}
-
 // Observe attaches an observability configuration to every shard
 // replica — existing ones immediately, lazily built ones at init. Each
 // replica's network and probers report into the same observer; the

@@ -18,33 +18,34 @@ import (
 	"recordroute/internal/topology"
 )
 
-// ParallelCampaign executes campaign primitives across K shards, each an
-// independent deterministic simulator replica built from the same
-// topology.Config and seed. Vantage points are partitioned round-robin
-// by their campaign index, so each VP's complete probe stream — pacing,
+// ParallelCampaign is the campaign executor: it runs campaign
+// primitives across K shards, each a deterministic simulator replica of
+// one topology. Vantage points are partitioned round-robin by their
+// campaign index, so each VP's complete probe stream — pacing,
 // source-proximate policer interactions, timeouts — plays out inside
-// exactly one replica, bit-for-bit as it would inside the single shared
-// engine. Each primitive dispatches the live shards over a work-stealing
-// group of at most min(shards, GOMAXPROCS, NumCPU) goroutines — or
-// inline on the caller's goroutine when that bound is one, so a
-// single-shard fleet (or a single-CPU host) pays zero scheduling
-// overhead — and the per-shard result maps merge back into the exact
-// per-VP ordering the sequential Campaign produces.
+// exactly one replica, bit-for-bit as it would if every VP shared one
+// engine. Each primitive dispatches the live shards over a
+// work-stealing group of at most min(shards, GOMAXPROCS, NumCPU)
+// goroutines — or inline on the caller's goroutine when that bound is
+// one, so a single-shard fleet (or a single-CPU host) pays zero
+// scheduling overhead — and the per-shard result maps merge back into
+// the exact per-VP ordering one shared engine produces.
 //
 // Determinism contract: for workloads whose only cross-VP coupling is
 // through destination-side state that stays inactive (edge policers
 // below their rate, IP-ID counters no analysis reads), every Result
-// field except ReplyIPID is byte-identical to the sequential path, and
+// field except ReplyIPID is byte-identical across shard counts, and
 // experiment summaries built from them are byte-identical. ReplyIPID is
 // exempt because destination IP-ID counters observe only shard-local
 // traffic. Rate-limiting experiments that deliberately saturate shared
-// destination-side policers (Figure 4) must keep using Campaign: there
-// the aggregate cross-VP arrival process is the measured effect, and
-// sharding it away would change the drops.
+// destination-side policers (Figure 4) must run every VP in one engine
+// (NewSingleEngineCampaign): there the aggregate cross-VP arrival
+// process is the measured effect, and sharding it away would change the
+// drops.
 //
 // After each primitive, every shard clock is advanced to the maximum
-// shard time, which equals the time the sequential engine would show —
-// so later phases start at the same virtual instant in every replica.
+// shard time, which equals the time one shared engine would show — so
+// later phases start at the same virtual instant in every replica.
 type ParallelCampaign struct {
 	cfg    topology.Config
 	src    *topology.Topology // snapshot source; nil → build from cfg
@@ -55,18 +56,12 @@ type ParallelCampaign struct {
 	replicas  []*replica
 	vpShard   map[string]int // VP name → replica index
 	vpIndex   map[string]int // VP name → campaign index (prober ID base)
-	vpNames   []string       // campaign order, as the sequential path sees it
+	vpNames   []string       // campaign order, as one shared engine sees it
 
 	observer *obs.Observer   // applied to each replica at init; nil observes nothing
 	journal  *Journal        // nil unless the campaign is journaled
 	ctx      context.Context // nil unless cancellation is armed (SetContext)
 }
-
-// Both executors satisfy the Fleet surface.
-var (
-	_ Fleet = (*Campaign)(nil)
-	_ Fleet = (*ParallelCampaign)(nil)
-)
 
 // replica is one shard: a full topology replica plus the VantagePoints
 // (with their original campaign prober IDs) assigned to it. A replica
@@ -85,8 +80,8 @@ type replica struct {
 	// ghosts are lazily created stand-ins for VPs homed on other shards,
 	// used by destination-sharded single-VP phases (PingBatchVP,
 	// PingSeriesVP): the same named host on this replica, driven by a
-	// prober with the VP's campaign ID so wire images match the
-	// sequential run's byte-for-byte. Safe because the VP's home prober
+	// prober with the VP's campaign ID so wire images match a
+	// single-engine run's byte-for-byte. Safe because the VP's home prober
 	// lives in a different replica engine — IDs never clash within one
 	// engine — and this replica's host had no sniffer before. Created
 	// and used only from this replica's dispatch goroutine.
@@ -199,12 +194,27 @@ func NewParallelCampaign(cfg topology.Config, shards int) (*ParallelCampaign, er
 // all cloned from an already-built topology's frozen snapshot — no
 // regeneration at all. The source keeps working independently (its
 // engine state never leaks into the pristine clones), so a study can
-// share one Build between its sequential campaign and its fleet.
+// share one Build between its single-engine campaign and its fleet.
 func NewParallelCampaignFrom(src *topology.Topology, shards int) (*ParallelCampaign, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("measure: %d shards", shards)
 	}
 	return &ParallelCampaign{cfg: src.Cfg, src: src, shards: shards}, nil
+}
+
+// NewSingleEngineCampaign returns a one-replica campaign over the given
+// VPs of topo (any mix of platform and cloud VPs) whose replica is topo
+// itself — no snapshot, no clone — so every VP probes inside topo's own
+// engine, and probes there contend at shared policers exactly as the
+// paper's cross-VP experiments need. Prober IDs are 0x4000+i in vps
+// order, so no two VPs cross-match.
+func NewSingleEngineCampaign(topo *topology.Topology, vps []*topology.VP) *ParallelCampaign {
+	pc := &ParallelCampaign{cfg: topo.Cfg, src: topo, shards: 1}
+	pc.buildOnce.Do(func() {
+		pc.replicas = []*replica{{idx: 0, topo: topo, eng: topo.Net.Engine()}}
+		pc.assignVPs(vps)
+	})
+	return pc
 }
 
 // AttachJournal makes the campaign journaled: every primitive becomes
@@ -302,20 +312,7 @@ func (pc *ParallelCampaign) init() error {
 			}
 			wg.Wait()
 		}
-		// Partition VPs round-robin by campaign index, keeping the
-		// sequential prober ID assignment (0x4000+i) so wire images and
-		// reply matching are identical to Campaign's.
-		pc.vpShard = make(map[string]int, len(src.VPs))
-		pc.vpIndex = make(map[string]int, len(src.VPs))
-		for i, v := range src.VPs {
-			shard := i % k
-			rep := pc.replicas[shard]
-			rv := rep.topo.VPByName(v.Name)
-			rep.vps = append(rep.vps, NewVantagePoint(rv.Name, rv.Host, rep.eng, uint16(0x4000+i)))
-			pc.vpShard[v.Name] = shard
-			pc.vpIndex[v.Name] = i
-			pc.vpNames = append(pc.vpNames, v.Name)
-		}
+		pc.assignVPs(src.VPs)
 		for _, rep := range pc.replicas {
 			pc.observeReplica(rep)
 		}
@@ -323,9 +320,27 @@ func (pc *ParallelCampaign) init() error {
 	return pc.buildErr
 }
 
+// assignVPs partitions vps round-robin over the replicas by campaign
+// index, each VP getting prober ID 0x4000+i whatever its shard, so wire
+// images and reply matching do not depend on the shard count.
+func (pc *ParallelCampaign) assignVPs(vps []*topology.VP) {
+	k := len(pc.replicas)
+	pc.vpShard = make(map[string]int, len(vps))
+	pc.vpIndex = make(map[string]int, len(vps))
+	for i, v := range vps {
+		shard := i % k
+		rep := pc.replicas[shard]
+		rv := rep.topo.VPByName(v.Name)
+		rep.vps = append(rep.vps, NewVantagePoint(rv.Name, rv.Host, rep.eng, uint16(0x4000+i)))
+		pc.vpShard[v.Name] = shard
+		pc.vpIndex[v.Name] = i
+		pc.vpNames = append(pc.vpNames, v.Name)
+	}
+}
+
 // mustInit panics on a replica build failure: the same configuration
-// already built once for the sequential study, so a failure here is a
-// programming error, not an input error.
+// already built once for the study, so a failure here is a programming
+// error, not an input error.
 func (pc *ParallelCampaign) mustInit() {
 	if err := pc.init(); err != nil {
 		panic(fmt.Sprintf("measure: shard replica build failed: %v", err))
@@ -351,7 +366,7 @@ func (pc *ParallelCampaign) VP(name string) *VantagePoint {
 	return nil
 }
 
-// VPNames lists the vantage points in campaign (sequential) order.
+// VPNames lists the vantage points in campaign order.
 func (pc *ParallelCampaign) VPNames() []string {
 	pc.mustInit()
 	return pc.vpNames
@@ -391,8 +406,8 @@ func (pc *ParallelCampaign) ShardErrors() []ShardError {
 }
 
 // syncClocks advances every shard clock to the fleet-wide maximum —
-// exactly the time a single shared engine would have reached, since the
-// sequential end time is the maximum over the same event set.
+// exactly the time a single shared engine would have reached, since
+// that engine's end time is the maximum over the same event set.
 func (pc *ParallelCampaign) syncClocks() {
 	var max time.Duration
 	for _, rep := range pc.replicas {
@@ -463,25 +478,6 @@ func (pc *ParallelCampaign) endPhase(phase int, journaled bool) {
 	}
 }
 
-// archivedFlat pre-fills out with the batches the journal already
-// carries for this phase and returns the VP names to skip. Dead-shard
-// VPs benefit too: their archived batches are restored even though
-// their replica will never run again.
-func (pc *ParallelCampaign) archivedFlat(phase int, journaled bool, out map[string][]probe.Result) map[string]bool {
-	if !journaled {
-		return nil
-	}
-	skip := make(map[string]bool)
-	for _, name := range pc.vpNames {
-		if rs, ok := pc.journal.archivedResults(phase, name); ok {
-			out[name] = rs
-			skip[name] = true
-			pc.replaySeqs(name, consumedSeqs(rs))
-		}
-	}
-	return skip
-}
-
 // consumedSeqs counts the sequence numbers a completed batch allocated:
 // one per attempt actually sent (retransmissions get fresh seqs).
 func consumedSeqs(rs []probe.Result) int {
@@ -522,124 +518,6 @@ func (pc *ParallelCampaign) Run() {
 	forShards(dirty, func(rep *replica) { rep.eng.Run() })
 	pc.syncClocks()
 	pc.endPhase(phase, journaled)
-}
-
-// PingRRAll sends one ping-RR from every VP to every destination, each
-// VP inside its own shard, and merges the per-shard results into one
-// map keyed by VP name in that VP's send order — the same shape and
-// content Campaign.PingRRAll produces.
-func (pc *ParallelCampaign) PingRRAll(dests []netip.Addr, opts probe.Options, orderFor func(vp string, dests []netip.Addr) []netip.Addr) map[string][]probe.Result {
-	pc.mustInit()
-	phase, journaled := pc.beginPhase("ping-rr-all")
-	out := make(map[string][]probe.Result, len(pc.vpNames))
-	skip := pc.archivedFlat(phase, journaled, out)
-	var mu sync.Mutex
-	pc.eachShard(func(rep *replica) {
-		for _, vp := range rep.vps {
-			vp := vp
-			if skip[vp.Name] {
-				continue
-			}
-			ds := dests
-			if orderFor != nil {
-				ds = orderFor(vp.Name, dests)
-			}
-			vp.PingRRBatch(ds, opts, func(rs []probe.Result) {
-				mu.Lock()
-				out[vp.Name] = rs
-				mu.Unlock()
-				pc.checkpoint(func() {
-					if journaled {
-						pc.journal.recordResults(phase, "ping-rr-all", vp.Name, rs)
-					}
-				})
-			})
-		}
-		rep.eng.Run()
-	})
-	pc.syncClocks()
-	pc.endPhase(phase, journaled)
-	return out
-}
-
-// PingAll sends count plain pings per destination from every VP.
-func (pc *ParallelCampaign) PingAll(dests []netip.Addr, count int, opts probe.Options) map[string][][]probe.Result {
-	pc.mustInit()
-	phase, journaled := pc.beginPhase("ping-all")
-	out := make(map[string][][]probe.Result, len(pc.vpNames))
-	var skip map[string]bool
-	if journaled {
-		skip = make(map[string]bool)
-		for _, name := range pc.vpNames {
-			if gs, ok := pc.journal.archivedGroups(phase, name); ok {
-				out[name] = gs
-				skip[name] = true
-				n := 0
-				for _, g := range gs {
-					n += consumedSeqs(g)
-				}
-				pc.replaySeqs(name, n)
-			}
-		}
-	}
-	var mu sync.Mutex
-	pc.eachShard(func(rep *replica) {
-		for _, vp := range rep.vps {
-			vp := vp
-			if skip[vp.Name] {
-				continue
-			}
-			vp.PingBatch(dests, count, opts, func(rs [][]probe.Result) {
-				mu.Lock()
-				out[vp.Name] = rs
-				mu.Unlock()
-				pc.checkpoint(func() {
-					if journaled {
-						pc.journal.recordGroups(phase, "ping-all", vp.Name, rs)
-					}
-				})
-			})
-		}
-		rep.eng.Run()
-	})
-	pc.syncClocks()
-	pc.endPhase(phase, journaled)
-	return out
-}
-
-// PingRRUDPAll sends one ping-RRudp from every VP to its listed targets.
-func (pc *ParallelCampaign) PingRRUDPAll(perVP map[string][]netip.Addr, opts probe.Options) map[string][]probe.Result {
-	pc.mustInit()
-	phase, journaled := pc.beginPhase("ping-rr-udp-all")
-	out := make(map[string][]probe.Result, len(perVP))
-	skip := pc.archivedFlat(phase, journaled, out)
-	var mu sync.Mutex
-	pc.eachShard(func(rep *replica) {
-		for _, vp := range rep.vps {
-			vp := vp
-			if skip[vp.Name] {
-				continue
-			}
-			ds := perVP[vp.Name]
-			if len(ds) == 0 {
-				continue
-			}
-			vp.PingRRUDPBatch(ds, opts, func(rs []probe.Result) {
-				mu.Lock()
-				out[vp.Name] = rs
-				mu.Unlock()
-				pc.checkpoint(func() {
-					if journaled {
-						pc.journal.recordResults(phase, "ping-rr-udp-all", vp.Name, rs)
-					}
-				})
-			})
-		}
-		rep.eng.Run()
-	})
-	pc.syncClocks()
-	pc.endPhase(phase, journaled)
-	return out
 }
 
 // shardVP returns the named VP's prober instance on rep — the assigned

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"recordroute/internal/netsim"
 	"recordroute/internal/probe"
 	"recordroute/internal/topology"
 )
@@ -29,22 +30,22 @@ func normalize(rs []probe.Result) []probe.Result {
 func comparePerVP(t *testing.T, label string, seq, par map[string][]probe.Result) {
 	t.Helper()
 	if len(seq) != len(par) {
-		t.Fatalf("%s: %d VPs sequential vs %d parallel", label, len(seq), len(par))
+		t.Fatalf("%s: %d VPs reference vs %d under test", label, len(seq), len(par))
 	}
 	for vp, srs := range seq {
 		prs, ok := par[vp]
 		if !ok {
-			t.Errorf("%s: VP %s missing from parallel results", label, vp)
+			t.Errorf("%s: VP %s missing from results under test", label, vp)
 			continue
 		}
 		if len(srs) != len(prs) {
-			t.Errorf("%s: VP %s has %d sequential vs %d parallel results", label, vp, len(srs), len(prs))
+			t.Errorf("%s: VP %s has %d reference vs %d results under test", label, vp, len(srs), len(prs))
 			continue
 		}
 		ns, np := normalize(srs), normalize(prs)
 		for i := range ns {
 			if !reflect.DeepEqual(ns[i], np[i]) {
-				t.Errorf("%s: VP %s result %d differs:\nsequential: %+v\nparallel:   %+v",
+				t.Errorf("%s: VP %s result %d differs:\nreference:  %+v\nunder test: %+v",
 					label, vp, i, ns[i], np[i])
 				break
 			}
@@ -52,27 +53,64 @@ func comparePerVP(t *testing.T, label string, seq, par map[string][]probe.Result
 	}
 }
 
+// oracle is the executor tests' reference: every VP's batch started on
+// one engine, then one eng.Run() — the plain single-engine schedule,
+// sharing no code with ParallelCampaign.
+type oracle struct {
+	eng *netsim.Engine
+	vps []*VantagePoint
+}
+
+func newOracle(topo *topology.Topology) *oracle {
+	o := &oracle{eng: topo.Net.Engine()}
+	for i, v := range topo.VPs {
+		o.vps = append(o.vps, NewVantagePoint(v.Name, v.Host, o.eng, uint16(0x4000+i)))
+	}
+	return o
+}
+
+// oracleRun starts one batch per VP in VP order, then drains the
+// engine; start may skip a VP by not calling done.
+func oracleRun[T any](o *oracle, start func(vp *VantagePoint, done func(T))) map[string]T {
+	out := make(map[string]T)
+	for _, vp := range o.vps {
+		vp := vp
+		start(vp, func(v T) { out[vp.Name] = v })
+	}
+	o.eng.Run()
+	return out
+}
+
 // TestParallelCampaignMatchesSequential is the measure-level determinism
-// contract: every campaign primitive returns identical results (modulo
-// ReplyIPID) whether VPs share one engine or split across shard
-// replicas. Running it under -race also exercises the shard worker pool.
+// contract: every campaign primitive returns what the oracle's plain
+// single-engine loop returns (modulo ReplyIPID), both on a one-replica
+// campaign over its own topology and on a K=3 cloned fleet. Running it
+// under -race also exercises the shard worker pool.
 func TestParallelCampaignMatchesSequential(t *testing.T) {
 	cfg := testConfig()
 	opts := probe.Options{Rate: 100}
-
-	topo, err := topology.Build(cfg)
+	build := func() *topology.Topology {
+		topo, err := topology.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo
+	}
+	refTopo := build()
+	ref := newOracle(refTopo)
+	own := build()
+	single := NewSingleEngineCampaign(own, own.VPs)
+	fleet, err := NewParallelCampaign(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := NewCampaign(topo, topo.VPs)
-
-	par, err := NewParallelCampaign(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	execs := []struct {
+		name string
+		pc   *ParallelCampaign
+	}{{"single", single}, {"K=3", fleet}}
 
 	dests := make([]netip.Addr, 0, 40)
-	for _, d := range topo.Dests {
+	for _, d := range refTopo.Dests {
 		dests = append(dests, d.Addr)
 		if len(dests) == 40 {
 			break
@@ -88,46 +126,94 @@ func TestParallelCampaignMatchesSequential(t *testing.T) {
 		rot := len(vp) % len(out)
 		return append(out[rot:], out[:rot]...)
 	}
-
-	comparePerVP(t, "PingRRAll",
-		seq.PingRRAll(dests, opts, orderFor),
-		par.PingRRAll(dests, opts, orderFor))
+	wantRR := oracleRun(ref, func(vp *VantagePoint, done func([]probe.Result)) {
+		vp.PingRRBatch(orderFor(vp.Name, dests), opts, done)
+	})
+	for _, e := range execs {
+		comparePerVP(t, "PingRRAll/"+e.name, wantRR, e.pc.PingRRAll(dests, opts, orderFor))
+	}
 
 	// Grouped plain pings.
-	seqPing := seq.PingAll(dests[:10], 2, opts)
-	parPing := par.PingAll(dests[:10], 2, opts)
-	if len(seqPing) != len(parPing) {
-		t.Fatalf("PingAll: VP count %d vs %d", len(seqPing), len(parPing))
-	}
-	for vp, gs := range seqPing {
-		gp := parPing[vp]
-		if len(gs) != len(gp) {
-			t.Errorf("PingAll: VP %s group count %d vs %d", vp, len(gs), len(gp))
-			continue
+	wantPing := oracleRun(ref, func(vp *VantagePoint, done func([][]probe.Result)) {
+		vp.PingBatch(dests[:10], 2, opts, done)
+	})
+	for _, e := range execs {
+		got := e.pc.PingAll(dests[:10], 2, opts)
+		if len(got) != len(wantPing) {
+			t.Fatalf("PingAll/%s: VP count %d vs %d", e.name, len(got), len(wantPing))
 		}
-		for i := range gs {
-			if !reflect.DeepEqual(normalize(gs[i]), normalize(gp[i])) {
-				t.Errorf("PingAll: VP %s dest %d differs", vp, i)
-				break
+		for vp, gs := range wantPing {
+			gp := got[vp]
+			if len(gs) != len(gp) {
+				t.Errorf("PingAll/%s: VP %s group count %d vs %d", e.name, vp, len(gs), len(gp))
+				continue
+			}
+			for i := range gs {
+				if !reflect.DeepEqual(normalize(gs[i]), normalize(gp[i])) {
+					t.Errorf("PingAll/%s: VP %s dest %d differs", e.name, vp, i)
+					break
+				}
 			}
 		}
 	}
 
-	// Per-VP target lists.
+	// Per-VP target lists; the last VP has none and must be absent.
 	perVP := make(map[string][]netip.Addr)
-	for i, name := range par.VPNames() {
-		perVP[name] = dests[i%len(dests) : min(i%len(dests)+5, len(dests))]
-	}
-	comparePerVP(t, "PingRRUDPAll",
-		seq.PingRRUDPAll(perVP, opts),
-		par.PingRRUDPAll(perVP, opts))
-
-	// Clocks must agree across shards and with the sequential engine
-	// after every primitive (phases start at the same virtual instant).
-	for i, rep := range par.replicas {
-		if rep.eng.Now() != seq.Eng.Now() {
-			t.Errorf("shard %d clock %v != sequential clock %v", i, rep.eng.Now(), seq.Eng.Now())
+	ttls := make(map[string][]uint8)
+	for i, vp := range ref.vps[:len(ref.vps)-1] {
+		ds := dests[i%len(dests) : min(i%len(dests)+5, len(dests))]
+		perVP[vp.Name] = ds
+		for j := range ds {
+			ttls[vp.Name] = append(ttls[vp.Name], uint8(2+j*3))
 		}
+	}
+	wantUDP := oracleRun(ref, func(vp *VantagePoint, done func([]probe.Result)) {
+		if ds := perVP[vp.Name]; len(ds) > 0 {
+			vp.PingRRUDPBatch(ds, opts, done)
+		}
+	})
+	for _, e := range execs {
+		comparePerVP(t, "PingRRUDPAll/"+e.name, wantUDP, e.pc.PingRRUDPAll(perVP, opts))
+	}
+
+	// Clocks must agree across shards and with the oracle's engine after
+	// every primitive (phases start at the same virtual instant).
+	for _, e := range execs {
+		for i, rep := range e.pc.replicas {
+			if rep.eng.Now() != ref.eng.Now() {
+				t.Errorf("%s shard %d clock %v != oracle clock %v", e.name, i, rep.eng.Now(), ref.eng.Now())
+			}
+		}
+	}
+
+	// The contention experiments' primitives run on the one-replica
+	// campaign only.
+	wantTTL := oracleRun(ref, func(vp *VantagePoint, done func([]probe.Result)) {
+		if ds := perVP[vp.Name]; len(ds) > 0 {
+			vp.TTLPingRRBatch(ds, ttls[vp.Name], opts, done)
+		}
+	})
+	comparePerVP(t, "TTLPingRRAll/single", wantTTL, single.TTLPingRRAll(perVP, ttls, opts))
+
+	topts := TraceOptions{MaxTTL: 12, StartRate: 50}
+	wantTR := oracleRun(ref, func(vp *VantagePoint, done func([]Trace)) {
+		if ds := perVP[vp.Name]; len(ds) > 0 {
+			vp.TracerouteBatch(ds[:2], topts, done)
+		}
+	})
+	traced := make(map[string][]netip.Addr, len(perVP))
+	for name, ds := range perVP {
+		traced[name] = ds[:2]
+	}
+	gotTR := single.TracerouteAll(traced, topts)
+	if len(wantTR) != len(traced) || len(wantTTL) != len(perVP) {
+		t.Fatalf("oracle traced %d and TTL-probed %d VPs, want %d", len(wantTR), len(wantTTL), len(perVP))
+	}
+	if !reflect.DeepEqual(wantTR, gotTR) {
+		t.Errorf("TracerouteAll/single differs from the oracle")
+	}
+	if now := single.replicas[0].eng.Now(); now != ref.eng.Now() {
+		t.Errorf("single clock %v != oracle clock %v", now, ref.eng.Now())
 	}
 }
 

@@ -833,7 +833,7 @@ func (s *Server) runOnce(job *Job) (out attemptOutcome) {
 	})
 
 	resp := st.RunResponsiveness()
-	if errs := st.Fleet().ShardErrors(); len(errs) > 0 {
+	if errs := st.ShardErrors(); len(errs) > 0 {
 		// Cancellation/deadline aborts surface as canceled shards when
 		// they land at a per-VP checkpoint rather than a phase boundary;
 		// the job's own context says which fate this was.

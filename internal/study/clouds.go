@@ -57,8 +57,8 @@ func (s *Study) RunCloudDistance(r *Responsiveness, sampleCap int) *CloudResult 
 
 	// Cloud traceroutes to both sets.
 	perCloud := make(map[string][]netip.Addr)
-	for _, vp := range s.CloudCamp.VPs {
-		perCloud[vp.Name] = append(append([]netip.Addr(nil), reachable...), responsiveOnly...)
+	for _, name := range s.CloudCamp.VPNames() {
+		perCloud[name] = append(append([]netip.Addr(nil), reachable...), responsiveOnly...)
 	}
 	cloudTraces := s.CloudCamp.TracerouteAll(perCloud, topts)
 

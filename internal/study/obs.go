@@ -30,8 +30,8 @@ func (s *Study) Observe(o *obs.Observer) {
 // event lands in exactly one captured engine either way.
 func (s *Study) Metrics(label string) *obs.Snapshot {
 	shards := []obs.ShardMetrics{obs.Capture("shared", s.Topo.Net)}
-	if pc, ok := s.fleet.(*measure.ParallelCampaign); ok {
-		shards = append(shards, pc.Metrics(label).Shards...)
+	if s.fleet != nil && s.fleet != measure.Fleet(s.Camp) {
+		shards = append(shards, s.fleet.Metrics(label).Shards...)
 	}
 	return obs.NewSnapshot(label, shards...)
 }

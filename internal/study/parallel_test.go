@@ -242,8 +242,8 @@ func comparePerVPResults(t *testing.T, k int, seq, par map[string][]probe.Result
 }
 
 // TestStudyShardsOptionResolution pins the executor-selection rules:
-// Shards=1 must hand back the shared-engine Campaign itself, Shards>1 a
-// ParallelCampaign, and the resolved fleet is cached.
+// Shards=1 must hand back the single-engine s.Camp itself, Shards>1 a
+// cloned campaign, and the resolved fleet is cached.
 func TestStudyShardsOptionResolution(t *testing.T) {
 	cfg := topology.DefaultConfig(topology.Epoch2016).Scale(0.15)
 	seq, err := New(cfg, Options{Shards: 1})
@@ -251,7 +251,7 @@ func TestStudyShardsOptionResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	if seq.Fleet() != interface{}(seq.Camp) {
-		t.Errorf("Shards=1: Fleet() is not the shared-engine Campaign")
+		t.Errorf("Shards=1: Fleet() is not the single-engine s.Camp")
 	}
 	par, err := New(cfg, Options{Shards: 2})
 	if err != nil {
@@ -259,7 +259,7 @@ func TestStudyShardsOptionResolution(t *testing.T) {
 	}
 	fl := par.Fleet()
 	if fl == interface{}(par.Camp) {
-		t.Errorf("Shards=2: Fleet() fell back to the shared-engine Campaign")
+		t.Errorf("Shards=2: Fleet() fell back to the single-engine s.Camp")
 	}
 	if fl != par.Fleet() {
 		t.Errorf("Fleet() not cached across calls")

@@ -60,7 +60,7 @@ func (s *Study) RunReachability(r *Responsiveness) *Reachability {
 		if st.RRReachable() {
 			reachable++
 		}
-		if st.WithinHops(8) {
+		if st.WithinHops(analysis.ReversePathLimit) {
 			within8++
 		}
 	}
@@ -69,7 +69,7 @@ func (s *Study) RunReachability(r *Responsiveness) *Reachability {
 
 	re.Figure1 = s.buildFigure1(r)
 	re.Greedy = analysis.GreedyCover(
-		s.coverage(r, s.vpNamesOfKind(topology.MLab), 9), 10)
+		s.coverage(r, s.vpNamesOfKind(topology.MLab), analysis.NineHopLimit), 10)
 	return re
 }
 
@@ -147,9 +147,10 @@ func (s *Study) runRRUDP(r *Responsiveness) int {
 	if len(targets) == 0 {
 		return 0
 	}
-	perVP := make(map[string][]netip.Addr, len(s.Camp.VPs))
-	for _, vp := range s.Camp.VPs {
-		perVP[vp.Name] = targets
+	names := s.Camp.VPNames()
+	perVP := make(map[string][]netip.Addr, len(names))
+	for _, name := range names {
+		perVP[name] = targets
 	}
 	results := s.Fleet().PingRRUDPAll(perVP, s.Opts.probeOpts())
 	return analysis.ApplyRRUDP(r.Stats, results)
@@ -179,12 +180,12 @@ func (s *Study) buildFigure1(r *Responsiveness) *analysis.Figure {
 	fig := &analysis.Figure{
 		Title:  "Figure 1: RR hops from closest vantage point to RR-responsive destinations (CDF)",
 		XLabel: "rr-hops",
-		X:      analysis.IntRange(1, 9),
+		X:      analysis.IntRange(1, analysis.NineHopLimit),
 	}
 	mlab := s.vpNamesOfKind(topology.MLab)
 	plab := s.vpNamesOfKind(topology.PlanetLab)
 
-	greedy := analysis.GreedyCover(s.coverage(r, mlab, 9), 10)
+	greedy := analysis.GreedyCover(s.coverage(r, mlab, analysis.NineHopLimit), 10)
 	var top10, top1 []string
 	for i, step := range greedy {
 		if i < 10 {
@@ -217,7 +218,7 @@ func (s *Study) closestVPCDF(r *Responsiveness, vps []string, population int) []
 	for _, v := range vps {
 		allowed[v] = true
 	}
-	counts := make([]int, 10) // index = min slot, 1..9
+	counts := make([]int, analysis.NineHopLimit+1) // index = min slot, 1..9
 	for _, d := range r.RRResponsive() {
 		st := r.Stats[d]
 		best := 0
@@ -229,13 +230,13 @@ func (s *Study) closestVPCDF(r *Responsiveness, vps []string, population int) []
 				best = slot
 			}
 		}
-		if best >= 1 && best <= 9 {
+		if best >= 1 && best <= analysis.NineHopLimit {
 			counts[best]++
 		}
 	}
-	out := make([]float64, 9)
+	out := make([]float64, analysis.NineHopLimit)
 	cum := 0
-	for x := 1; x <= 9; x++ {
+	for x := 1; x <= analysis.NineHopLimit; x++ {
 		cum += counts[x]
 		out[x-1] = frac(cum, population)
 	}

@@ -37,7 +37,7 @@ func (s *Study) RunResponsiveness() *Responsiveness {
 	r := &Responsiveness{
 		Dests:  s.Data.Addrs(),
 		PerVP:  make(map[string][]probe.Result),
-		NumVPs: len(s.Camp.VPs),
+		NumVPs: len(s.Camp.VPNames()),
 	}
 
 	// The experiment is sharding-invariant (each VP's probe stream is

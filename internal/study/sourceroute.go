@@ -51,10 +51,10 @@ func (s *Study) RunSourceRouteCheck(r *Responsiveness, perVPCap int) *SourceRout
 		perVP[vp] = mine
 	}
 
-	for _, vp := range s.Camp.VPs {
-		vp := vp
-		targets := perVP[vp.Name]
-		if len(targets) == 0 {
+	for _, name := range s.Camp.VPNames() {
+		vp := s.Camp.VP(name)
+		targets := perVP[name]
+		if vp == nil || len(targets) == 0 {
 			continue
 		}
 		rrSpecs := make([]probe.Spec, len(targets))
@@ -74,7 +74,7 @@ func (s *Study) RunSourceRouteCheck(r *Responsiveness, perVPCap int) *SourceRout
 		vp.Prober.StartBatch(rrSpecs, s.Opts.probeOpts(), func(rs []probe.Result) { count(rs, &res.RRResponses) })
 		vp.Prober.StartBatch(lsrrSpecs, s.Opts.probeOpts(), func(rs []probe.Result) { count(rs, &res.LSRRResponses) })
 	}
-	s.Camp.Eng.Run()
+	s.Camp.Run()
 	return res
 }
 

@@ -52,9 +52,9 @@ type Options struct {
 	// results are invariant under VP sharding (responsiveness,
 	// reachability, epoch comparison): 0 picks runtime.GOMAXPROCS
 	// shards, 1 forces the single shared engine, >1 forces that many
-	// shards. Rate-limiting experiments (Figure 4) ignore it — they
-	// measure cross-VP contention at shared policers and always run on
-	// the single engine.
+	// shards. Contention experiments (Figure 4 and the others on Camp
+	// and CloudCamp) ignore it — they measure cross-VP contention at
+	// shared policers and always run on the single engine.
 	Shards int
 	// Scale replaces the roster/prefix/VP sizing of the passed Config
 	// with a named profile's (topology.ProfileConfig) while keeping its
@@ -101,9 +101,11 @@ type Study struct {
 	Opts Options
 
 	// Camp probes from the platform VPs (M-Lab + PlanetLab); CloudCamp
-	// from the cloud measurement hosts.
-	Camp      *measure.Campaign
-	CloudCamp *measure.Campaign
+	// from the cloud measurement hosts. Both are one-replica campaigns
+	// on Topo's own engine, so every VP of both contends at the same
+	// policers (measure.NewSingleEngineCampaign).
+	Camp      *measure.ParallelCampaign
+	CloudCamp *measure.ParallelCampaign
 
 	// Origin issues the plain-ping responsiveness probes, standing in
 	// for the paper's single USC machine. It is the first M-Lab VP not
@@ -150,8 +152,8 @@ func NewFromTopology(topo *topology.Topology, opts Options) (*Study, error) {
 	// The epoch is overlay state on this study's private network; shard
 	// replicas cloned from it (Fleet) inherit the same epoch.
 	topo.Net.SetFaultEpoch(opts.FaultEpoch)
-	s.Camp = measure.NewCampaign(topo, topo.VPs)
-	s.CloudCamp = measure.NewCampaign(topo, topo.CloudVPs)
+	s.Camp = measure.NewSingleEngineCampaign(topo, topo.VPs)
+	s.CloudCamp = measure.NewSingleEngineCampaign(topo, topo.CloudVPs)
 	for _, vp := range topo.VPs {
 		if vp.Kind == topology.MLab && !vp.SourceRateLimited {
 			s.Origin = s.Camp.VP(vp.Name)
@@ -159,20 +161,21 @@ func NewFromTopology(topo *topology.Topology, opts Options) (*Study, error) {
 		}
 	}
 	if s.Origin == nil {
-		s.Origin = s.Camp.VPs[0]
+		s.Origin = s.Camp.VP(topo.VPs[0].Name)
 	}
 	return s, nil
 }
 
 // Fleet returns the campaign executor sharding-invariant experiments
-// probe through: the shared-engine Campaign when Opts resolves to one
-// shard, otherwise a lazily built ParallelCampaign whose replicas are
-// cloned from this study's own topology snapshot — the Build New
-// already paid is never repeated. A journaled study always gets a
-// ParallelCampaign, even at one shard: the journal's quantized phases
-// and per-VP skip live in that executor. Experiments that measure
-// cross-VP contention (Figure 4) must keep using s.Camp directly — see
-// measure.ParallelCampaign's determinism contract.
+// probe through: s.Camp itself when Opts resolves to one shard,
+// otherwise a lazily built campaign whose replicas are cloned from this
+// study's own topology snapshot — the Build New already paid is never
+// repeated. A journaled study always gets the cloned campaign, even at
+// one shard: a journal quantizes the clock at every phase end, and it
+// must cover only the fleet's phases, never the contention experiments
+// that also probe through s.Camp. Experiments that
+// measure cross-VP contention (Figure 4) must keep using s.Camp
+// directly — see measure.ParallelCampaign's determinism contract.
 func (s *Study) Fleet() measure.Fleet {
 	if s.fleet == nil {
 		if k := s.Opts.shards(); k <= 1 && s.journal == nil {
@@ -206,6 +209,19 @@ func (s *Study) SetContext(ctx context.Context) {
 	if pc, ok := s.fleet.(*measure.ParallelCampaign); ok {
 		pc.SetContext(ctx)
 	}
+}
+
+// ShardErrors reports the shards lost in any of the study's campaigns —
+// Camp, CloudCamp, then the fleet when it is a campaign of its own —
+// empty while all are healthy. Every executor contains a panic to the
+// shard it struck and keeps going on partial results, so a run that
+// needs complete results checks this after each experiment.
+func (s *Study) ShardErrors() []measure.ShardError {
+	errs := append(s.Camp.ShardErrors(), s.CloudCamp.ShardErrors()...)
+	if s.fleet != nil && s.fleet != measure.Fleet(s.Camp) {
+		errs = append(errs, s.fleet.ShardErrors()...)
+	}
+	return errs
 }
 
 // AttachJournal makes the study's fleet journaled: completed per-VP

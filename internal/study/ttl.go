@@ -47,14 +47,14 @@ func (s *Study) RunTTLStudy(r *Responsiveness, perVPCap int) *TTLResult {
 	perVPttl := make(map[string][]uint8)
 	nearForVP := make(map[string]map[netip.Addr]bool)
 	probes := 0
-	for _, vp := range s.Camp.VPs {
+	for _, name := range s.Camp.VPNames() {
 		var near, far []netip.Addr
 		for _, d := range r.Dests {
 			st := r.Stats[d]
 			if st == nil {
 				continue
 			}
-			slot, responded := st.SlotsByVP[vp.Name]
+			slot, responded := st.SlotsByVP[name]
 			if !responded {
 				continue
 			}
@@ -74,14 +74,14 @@ func (s *Study) RunTTLStudy(r *Responsiveness, perVPCap int) *TTLResult {
 		for _, d := range dsts {
 			nf[d] = true
 		}
-		nearForVP[vp.Name] = nf
+		nearForVP[name] = nf
 		dsts = append(dsts, pickN(rng, far, n)...)
 		tt := make([]uint8, len(dsts))
 		for i := range tt {
 			tt[i] = ttls[rng.IntN(len(ttls))]
 		}
-		perVPdst[vp.Name] = dsts
-		perVPttl[vp.Name] = tt
+		perVPdst[name] = dsts
+		perVPttl[name] = tt
 		probes += len(dsts)
 	}
 

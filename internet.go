@@ -1,6 +1,7 @@
 package recordroute
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -77,6 +78,22 @@ func (in *Internet) AttachJournal(path string, resume bool) error {
 // AttachJournal, if any.
 func (in *Internet) CloseJournal() error { return in.st.CloseJournal() }
 
+// ShardErrors reports every campaign shard of this Internet that a
+// panic has killed so far, as one error, or nil while all are healthy.
+// A failed shard's vantage points drop out of later results instead of
+// crashing the run, so callers that need complete results — like
+// RunAll — check this after each experiment.
+func (in *Internet) ShardErrors() error {
+	var errs []error
+	for _, e := range in.st.ShardErrors() {
+		errs = append(errs, e)
+	}
+	if len(errs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("recordroute: %d campaign shard(s) failed: %w", len(errs), errors.Join(errs...))
+}
+
 // VPNames lists the platform vantage points (M-Lab then PlanetLab).
 func (in *Internet) VPNames() []string {
 	out := make([]string, len(in.st.Topo.VPs))
@@ -131,7 +148,9 @@ type Reply struct {
 	DestinationStamped bool
 }
 
-// vpOrErr resolves a VP (platform or cloud) by name.
+// vpOrErr resolves a VP (platform or cloud) by name. Both campaigns
+// probe through the study's one engine, so in.st.Camp.Run() drains
+// either kind's probes.
 func (in *Internet) vpOrErr(name string) (*measure.VantagePoint, error) {
 	if vp := in.st.Camp.VP(name); vp != nil {
 		return vp, nil
@@ -140,6 +159,17 @@ func (in *Internet) vpOrErr(name string) (*measure.VantagePoint, error) {
 		return vp, nil
 	}
 	return nil, fmt.Errorf("recordroute: unknown vantage point %q", name)
+}
+
+// platformVPs lists the live platform VPs in campaign order.
+func (in *Internet) platformVPs() []*measure.VantagePoint {
+	var out []*measure.VantagePoint
+	for _, name := range in.st.Camp.VPNames() {
+		if vp := in.st.Camp.VP(name); vp != nil {
+			out = append(out, vp)
+		}
+	}
+	return out
 }
 
 // probeOnce sends one probe synchronously (running the virtual clock
@@ -151,7 +181,7 @@ func (in *Internet) probeOnce(vpName string, spec probe.Spec) (Reply, error) {
 	}
 	var res probe.Result
 	vp.Prober.StartOne(spec, in.opts.timeout, func(r probe.Result) { res = r })
-	in.st.Camp.Eng.Run()
+	in.st.Camp.Run()
 	return replyFrom(res, spec.Dst), nil
 }
 
@@ -219,7 +249,7 @@ func (in *Internet) PingTS(vpName string, dst netip.Addr) (TimestampReply, error
 	}
 	var res probe.Result
 	vp.Prober.StartOne(probe.Spec{Dst: dst, Kind: probe.PingTS}, in.opts.timeout, func(r probe.Result) { res = r })
-	in.st.Camp.Eng.Run()
+	in.st.Camp.Run()
 	out := TimestampReply{Reply: replyFrom(res, dst), Overflow: res.TSOverflow}
 	for _, e := range res.TS {
 		out.Entries = append(out.Entries, TimestampEntry{Addr: e.Addr, Millis: e.Millis})
@@ -251,7 +281,7 @@ func (in *Internet) Traceroute(vpName string, dst netip.Addr) (TraceResult, erro
 	}
 	var tr measure.Trace
 	vp.Traceroute(dst, measure.TraceOptions{Timeout: in.opts.timeout}, func(t measure.Trace) { tr = t })
-	in.st.Camp.Eng.Run()
+	in.st.Camp.Run()
 	out := TraceResult{Dst: dst, Reached: tr.Reached}
 	for _, h := range tr.Hops {
 		out.Hops = append(out.Hops, Hop{
@@ -284,7 +314,7 @@ func (in *Internet) ReversePath(vpName string, dst netip.Addr) (ReversePathResul
 	if err != nil {
 		return ReversePathResult{}, err
 	}
-	sys := revtr.New(in.st.Camp.VPs, revtr.Options{
+	sys := revtr.New(in.platformVPs(), revtr.Options{
 		Timeout: in.opts.timeout,
 		Ranker:  in.revtrRanker(),
 	})
@@ -292,7 +322,7 @@ func (in *Internet) ReversePath(vpName string, dst netip.Addr) (ReversePathResul
 	var rerr error
 	done := false
 	sys.MeasureReverse(dst, target, func(pp revtr.Path, err error) { p, rerr, done = pp, err, true })
-	in.st.Camp.Eng.Run()
+	in.st.Camp.Run()
 	if !done {
 		return ReversePathResult{}, fmt.Errorf("recordroute: reverse path measurement stalled")
 	}

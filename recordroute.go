@@ -144,14 +144,16 @@ func WithTimeout(d time.Duration) Option { return func(o *options) { o.timeout =
 
 // WithShards sets the campaign executor parallelism for the
 // sharding-invariant experiments (Table 1, Figure 1, Figure 2): 0
-// (default) uses one shard per runtime.GOMAXPROCS, 1 forces the single
-// shared-engine path, k > 1 runs k simulator replicas on a worker pool.
+// (default) uses one shard per runtime.GOMAXPROCS, 1 runs every VP on
+// the one engine the Internet was built with, k > 1 runs k cloned
+// simulator replicas on a worker pool.
 // Sharding applies to the per-VP fan-out and to the single-VP origin
 // phases (responsiveness pings, alias IP-ID series), whose destination
 // lists fan across the replicas in contiguous ranges. Results are
 // identical either way; see DESIGN.md "Parallel execution model" and
-// "Destination-sharded origin phases". Figure 4 always runs
-// single-engine regardless.
+// "Destination-sharded origin phases". The contention experiments
+// (Figure 4 and the other traceroute/TTL runs) always run on the one
+// engine regardless.
 func WithShards(k int) Option { return func(o *options) { o.shards = k } }
 
 // WithFaults installs a deterministic fault-injection plan over the

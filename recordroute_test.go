@@ -192,6 +192,23 @@ func TestRunAllRendersEverything(t *testing.T) {
 	}
 }
 
+// TestRunAllFailsOnShardLoss: a panic contained inside a campaign shard
+// must fail RunAll rather than let it render partial results.
+func TestRunAllFailsOnShardLoss(t *testing.T) {
+	in, err := New(WithScale(0.15), WithProbeRate(200), WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.st.Topo.Net.Engine().Schedule(0, func() { panic("injected fault") })
+	var sb strings.Builder
+	if _, err := in.RunAll(&sb); err == nil || !strings.Contains(err.Error(), "injected fault") {
+		t.Fatalf("RunAll error = %v, want the injected shard panic", err)
+	}
+	if strings.Contains(sb.String(), "Figure 1") {
+		t.Error("RunAll kept rendering after the shard loss")
+	}
+}
+
 func TestTimeoutOptionApplies(t *testing.T) {
 	in := MustNew(WithScale(0.15), WithTimeout(500*time.Millisecond), WithProbeRate(200))
 	// An unresponsive address inside the plan times out at the custom
