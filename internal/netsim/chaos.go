@@ -51,8 +51,8 @@ func (w faultWindow) active(now time.Duration) bool {
 }
 
 // flips counts the window's state transitions at times <= now. Routers
-// use it to detect that a withdrawal boundary was crossed since the
-// last route lookup and the memoized routes went stale.
+// use it to observe that a withdrawal boundary was crossed since their
+// last route lookup (the chaos.route.flip diagnostic).
 func (w faultWindow) flips(now time.Duration) int {
 	if w.duty <= 0 || now < w.offset {
 		return 0
@@ -88,7 +88,7 @@ type routerFaults struct {
 	suppress faultWindow
 	withdraw faultWindow
 	prefix   netip.Prefix
-	wFlips   int // withdraw.flips at the last route lookup
+	wFlips   int // withdraw.flips at the last route lookup (overlay state)
 
 	// Long-horizon churn: each fault epoch (Network.SetFaultEpoch, the
 	// coarse virtual clock of a recurring campaign), the churned prefix
@@ -99,6 +99,29 @@ type routerFaults struct {
 	churnSeed   uint64
 	churnProb   float64
 	churnPrefix netip.Prefix
+}
+
+// blackholed reports whether the router's fault state withdraws dst at
+// the current virtual time: a transient withdrawal window is open over
+// dst, or dst's prefix is churned out for the whole fault epoch. It also
+// records the diagnostics — a flip each time the router observes a new
+// withdrawal boundary, a churn count per blackholed lookup.
+func (r *Router) blackholed(f *routerFaults, dst netip.Addr) bool {
+	if f.withdraw.duty > 0 {
+		now := r.net.Now()
+		if n := f.withdraw.flips(now); n != f.wFlips {
+			f.wFlips = n
+			r.count(cChaosRouteFlip)
+		}
+		if f.prefix.Contains(dst) && f.withdraw.active(now) {
+			return true
+		}
+	}
+	if f.churnPrefix.IsValid() && f.churnPrefix.Contains(dst) && f.churned(r.net.faultEpoch) {
+		r.count(cChaosChurn)
+		return true
+	}
+	return false
 }
 
 // churned reports whether the router's churn prefix is withdrawn in the
@@ -224,8 +247,7 @@ type FaultConfig struct {
 
 	// WithdrawFrac of registered (router, prefix) candidates transiently
 	// withdraw the prefix: WithdrawFor out of every WithdrawPeriod the
-	// router blackholes the prefix, invalidating its memoized routes at
-	// each boundary.
+	// router blackholes the prefix.
 	WithdrawFrac   float64
 	WithdrawPeriod time.Duration // default 60s
 	WithdrawFor    time.Duration // default 8s

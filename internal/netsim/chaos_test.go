@@ -178,9 +178,9 @@ func TestChaosRouteWithdrawalInvalidatesRouteCache(t *testing.T) {
 		prefix:   netip.PrefixFrom(a(destAddrStr), 32),
 	}
 
-	// Probe 1 populates r0's route cache before the withdrawal; probe 2
-	// must not be forwarded off the stale cached entry; probe 3 must get
-	// the route back after restoration.
+	// Probe 1 is routed before the withdrawal; probe 2 must not be
+	// forwarded while the window is open; probe 3 must get the route
+	// back after restoration.
 	pingAt(t, c, 0, 1)
 	pingAt(t, c, 1500*time.Millisecond, 2)
 	pingAt(t, c, 3*time.Second, 3)
@@ -192,9 +192,35 @@ func TestChaosRouteWithdrawalInvalidatesRouteCache(t *testing.T) {
 	if got := c.net.Counter("router.drop.noroute"); got != 1 {
 		t.Errorf("router.drop.noroute = %d, want 1", got)
 	}
-	// Both window boundaries crossed by lookups → two invalidations.
+	// r0 observes both window boundaries during lookups → two flips.
 	if got := c.net.Counter("chaos.route.flip"); got != 2 {
 		t.Errorf("chaos.route.flip = %d, want 2", got)
+	}
+}
+
+// Epoch churn is counted once per blackholed lookup: three probes into
+// a churned prefix are three lookups at r0, three blackholes.
+func TestChaosChurnCountsEveryBlackholedLookup(t *testing.T) {
+	c := buildChain(2, nil, DefaultHostBehavior())
+	c.routers[0].faults = &routerFaults{
+		churnProb:   1, // churned in every epoch
+		churnPrefix: netip.PrefixFrom(a(destAddrStr), 32),
+	}
+	c.net.SetFaultEpoch(3)
+
+	for i := 0; i < 3; i++ {
+		pingAt(t, c, time.Duration(i)*time.Second, uint16(i+1))
+	}
+	c.net.Engine().Run()
+
+	if len(c.replies) != 0 {
+		t.Errorf("replies = %d, want 0 (prefix churned out)", len(c.replies))
+	}
+	if got := c.net.Counter("chaos.route.churn"); got != 3 {
+		t.Errorf("chaos.route.churn = %d, want 3", got)
+	}
+	if got := c.net.Counter("router.drop.noroute"); got != 3 {
+		t.Errorf("router.drop.noroute = %d, want 3", got)
 	}
 }
 

@@ -2,15 +2,16 @@ package netsim
 
 // Snapshot/clone support: a built Network can be frozen into an
 // immutable route plane and cheaply replicated. The plane — interface
-// wiring, link delays, FIB contents, the routing oracle, host address
-// sets, link-fault parameters — is identical across every seed-identical
-// replica, so clones share it read-only behind copy-on-write flags. Only
-// the mutable overlay is rebuilt per clone: engine (virtual clock +
-// event queue), counters, token buckets, IP-ID counters, loss RNG,
-// per-router withdrawal observations, caches, and observability hooks.
-// Each of those restarts in its pristine post-build state, so a clone is
-// behaviorally indistinguishable from a fresh topology.Build of the same
-// Config — regardless of how much traffic the source has carried since.
+// wiring, link delays, FIB contents, the RoutePlane, host address sets,
+// link-fault parameters — is identical across every seed-identical
+// replica, so clones share it read-only (FIBs and host address slices
+// copy on write). Only the mutable overlay is rebuilt per clone: engine
+// (virtual clock + event queue), counters, token buckets, IP-ID
+// counters, loss RNG, per-router withdrawal observations, and
+// observability hooks. Each of those restarts in its pristine
+// post-build state, so a clone is behaviorally indistinguishable from a
+// fresh topology.Build of the same Config — regardless of how much
+// traffic the source has carried since.
 
 // Freeze marks the network as an immutable route plane that clones may
 // share. It is idempotent and must be called (directly or via the first
@@ -23,23 +24,8 @@ func (n *Network) Freeze() {
 		return
 	}
 	for _, node := range n.nodes {
-		switch v := node.(type) {
-		case *Router:
-			v.fibShared = true
-			v.localShared = true
-			// The memoized routes become the shared frozen base — except
-			// on routers with transient withdrawals or epoch churn, whose
-			// lookups depend on the clock (or the fault epoch): a stale
-			// memo must never leak into a replica starting at clock zero
-			// or running under a different epoch.
-			if f := v.faults; f == nil || (f.withdraw.duty == 0 && !f.churnPrefix.IsValid()) {
-				if len(v.routeCache) > 0 {
-					v.routeBase = v.routeCache
-					v.routeCache = nil
-				}
-			}
-		case *Host:
-			v.localShared = true
+		if r, ok := node.(*Router); ok {
+			r.fibShared = true
 		}
 	}
 	// The name index is immutable plane state: clones share it instead
@@ -62,6 +48,7 @@ func (n *Network) Clone() *Network {
 		nodes:   make([]Node, 0, len(n.nodes)),
 		nameIdx: n.nameIdx,
 		ifaces:  make([]*Iface, len(n.ifaces)),
+		plane:   n.plane,
 		lossRNG: lossSeed,
 		// The fault epoch is overlay state, not plane state: replicas
 		// start in the source's epoch so all shards of one campaign see
@@ -119,22 +106,17 @@ func (n *Network) Clone() *Network {
 }
 
 // adoptRouter appends a replica of a source-network router: shared
-// frozen plane (FIB, oracle closure, local-address set, memoized route
-// base), pristine overlay (policers, IP-ID, caches, withdrawal
+// frozen FIB, pristine overlay (policers, IP-ID, withdrawal
 // observations). r and ifaces are the caller's block-allocated shells.
 func (c *Network) adoptRouter(o *Router, r *Router, ifaces []*Iface) {
 	*r = Router{
-		name:        o.name,
-		net:         c,
-		idx:         o.idx,
-		behavior:    o.behavior,
-		fib:         o.fib,
-		fibShared:   true,
-		routeFn:     o.routeFn,
-		local:       o.local,
-		localShared: true,
-		routeBase:   o.routeBase,
-		ipid:        seedIPID(o.name),
+		name:      o.name,
+		net:       c,
+		idx:       o.idx,
+		behavior:  o.behavior,
+		fib:       o.fib,
+		fibShared: true,
+		ipid:      seedIPID(o.name),
 	}
 	// Policer state is copy-on-write: no bucket is allocated here — the
 	// replica materializes its own from the shared behavior config on
@@ -159,14 +141,15 @@ func (c *Network) adoptRouter(o *Router, r *Router, ifaces []*Iface) {
 // caller's block-allocated shell.
 func (c *Network) adoptHost(o *Host, h *Host) {
 	*h = Host{
-		name:        o.name,
-		net:         c,
-		idx:         o.idx,
-		behavior:    o.behavior,
-		addrs:       o.addrs,
-		local:       o.local,
-		localShared: true,
-		ipid:        seedIPID(o.name),
+		name:     o.name,
+		net:      c,
+		idx:      o.idx,
+		behavior: o.behavior,
+		// Capacity capped at length: a replica's AddAlias reallocates
+		// (copy on write) instead of appending into the source's backing
+		// array, and appends on the source land past every replica's view.
+		addrs: o.addrs[:len(o.addrs):len(o.addrs)],
+		ipid:  seedIPID(o.name),
 	}
 	if o.uplink != nil {
 		h.uplink = c.ifaces[o.uplink.id]

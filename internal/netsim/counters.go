@@ -32,10 +32,10 @@ func CounterID(name string) int {
 
 // RegisterLocalCounter interns a counter name like CounterID but marks
 // it engine-local: its value depends on per-engine evaluation order
-// (cache maintenance, memoization hits, lazily observed fault windows)
-// rather than counting simulated events, so it is not shard-invariant
-// and must stay out of merged cross-shard totals. Observability
-// consumers filter on CounterIsLocal.
+// (which engine's traffic happens to observe a fault window or hit a
+// churned prefix) rather than counting simulated events, so it is not
+// shard-invariant and must stay out of merged cross-shard totals.
+// Observability consumers filter on CounterIsLocal.
 func RegisterLocalCounter(name string) int {
 	id := CounterID(name)
 	counterReg.Lock()
@@ -157,14 +157,15 @@ var (
 	cHostEchoReply  = CounterID("host.echo.reply")
 	cHostUDPUnreach = CounterID("host.udp.unreach")
 
-	// Route-flip observations happen when a router's memoized route
-	// cache notices a withdrawal boundary during a lookup; how many a
-	// given engine notices depends on its own traffic, so the counter
-	// is engine-local (excluded from merged cross-shard totals).
+	// A route flip is one router observing, during a route lookup, that
+	// a transient withdrawal window opened or closed since its previous
+	// lookup. Which boundaries a router observes depends on when its own
+	// engine's traffic reaches it, so the counter is engine-local
+	// (excluded from merged cross-shard totals).
 	cChaosRouteFlip = RegisterLocalCounter("chaos.route.flip")
 
-	// Epoch-churn blackholes are counted per lookup miss; like route
-	// flips, the number of lookups that notice a churned prefix is a
-	// function of the engine's own traffic, so the counter is local.
+	// Churn counts one per route lookup blackholed by an epoch-churned
+	// prefix. How many lookups hit a churned prefix follows the engine's
+	// own share of the traffic, so the counter is local too.
 	cChaosChurn = RegisterLocalCounter("chaos.route.churn")
 )

@@ -59,14 +59,9 @@ type Host struct {
 	idx      int // registration index; replica clones keep it
 	behavior HostBehavior
 	uplink   *Iface
-	addrs    []netip.Addr
-	local    map[netip.Addr]bool
+	addrs    []netip.Addr // primary first; one or two entries in practice
 	ipid     uint16
 	sniffer  SnifferFunc
-
-	// localShared marks addrs/local as part of a frozen route plane
-	// possibly shared with replica networks; mutation copies first.
-	localShared bool
 
 	ip packet.IPv4
 	rr packet.RecordRoute
@@ -82,7 +77,6 @@ func (n *Network) AddHost(name string, primary netip.Addr, behavior HostBehavior
 		net:      n,
 		behavior: behavior,
 		addrs:    []netip.Addr{primary},
-		local:    map[netip.Addr]bool{primary: true},
 		ipid:     seedIPID(name),
 	}
 	n.register(h)
@@ -102,20 +96,19 @@ func (h *Host) Addrs() []netip.Addr { return h.addrs }
 func (h *Host) Behavior() HostBehavior { return h.behavior }
 
 // AddAlias adds an extra local address; probes to it are answered like
-// probes to the primary. On a host whose address set belongs to a
-// frozen, shared route plane the set is copied first (copy-on-write).
-func (h *Host) AddAlias(a netip.Addr) {
-	if h.localShared {
-		h.addrs = append([]netip.Addr(nil), h.addrs...)
-		local := make(map[netip.Addr]bool, len(h.local)+1)
-		for x := range h.local {
-			local[x] = true
+// probes to the primary. A replica clone's address slice is shared with
+// its snapshot source at capped capacity, so the append copies it
+// first (see adoptHost).
+func (h *Host) AddAlias(a netip.Addr) { h.addrs = append(h.addrs, a) }
+
+// owns reports whether a is one of the host's addresses.
+func (h *Host) owns(a netip.Addr) bool {
+	for _, x := range h.addrs {
+		if x == a {
+			return true
 		}
-		h.local = local
-		h.localShared = false
 	}
-	h.addrs = append(h.addrs, a)
-	h.local[a] = true
+	return false
 }
 
 // SetSniffer installs a callback observing every packet delivered to the
@@ -178,7 +171,7 @@ func (h *Host) Receive(pkt []byte, on *Iface) {
 		h.countName("host.drop.parse")
 		return
 	}
-	if !h.local[h.ip.Dst] {
+	if !h.owns(h.ip.Dst) {
 		h.countName("host.drop.misdelivered")
 		return
 	}

@@ -8,9 +8,11 @@ import (
 )
 
 // Hot-path microbenchmarks for the per-packet costs campaign runs are
-// made of: FIB lookups, memoized route resolution, and packet
-// serialization into pooled buffers. Each pairs the optimized path with
-// the path it replaced so regressions show up as a ratio, not a guess.
+// made of: FIB lookups and packet serialization into pooled buffers.
+// Each pairs the optimized path with the path it replaced so
+// regressions show up as a ratio, not a guess. Route-plane lookups are
+// benchmarked over a built world in internal/topology
+// (BenchmarkPlaneLookup).
 
 func benchAddr(i int) netip.Addr {
 	return netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
@@ -45,38 +47,6 @@ func BenchmarkFIBLookup(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if fib.Lookup(lpmDst) == nil {
 				b.Fatal("missing lpm route")
-			}
-		}
-	})
-}
-
-// BenchmarkRouterRouteLookup compares the memoized per-destination
-// route cache against the uncached resolution every packet used to pay.
-func BenchmarkRouterRouteLookup(b *testing.B) {
-	n := New()
-	r := n.AddRouter("r", RouterBehavior{})
-	peer := n.AddRouter("peer", RouterBehavior{})
-	via, _ := n.Connect(r, peer, benchAddr(1), benchAddr(2), 0)
-	for _, bits := range []int{8, 12, 16, 20, 24} {
-		p, _ := netip.AddrFrom4([4]byte{172, 16, byte(bits), 0}).Prefix(bits)
-		r.AddRoute(p, via)
-	}
-	dst := netip.AddrFrom4([4]byte{172, 16, 200, 9})
-
-	b.Run("cached", func(b *testing.B) {
-		r.lookupRoute(dst) // warm the cache
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if r.lookupRoute(dst) == nil {
-				b.Fatal("no route")
-			}
-		}
-	})
-	b.Run("uncached", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if r.lookupRouteSlow(dst) == nil {
-				b.Fatal("no route")
 			}
 		}
 	})

@@ -26,9 +26,10 @@ type Iface struct {
 
 	// id is the interface's index in its network's registry, assigned in
 	// Connect creation order. Replica networks cloned from a snapshot
-	// reuse the same ids, which is how shared route-plane structures
-	// (FIBs, oracle closures) holding source-network interface pointers
-	// resolve to the clone's own interfaces — see Network.localize.
+	// reuse the same ids: a RoutePlane answers with ids, which every
+	// replica resolves against its own registry, and shared FIBs holding
+	// source-network interface pointers translate through
+	// Network.localize.
 	id     int32
 	peer   *Iface
 	delay  time.Duration
@@ -39,6 +40,10 @@ type Iface struct {
 
 // Peer returns the interface at the other end of the link.
 func (i *Iface) Peer() *Iface { return i.peer }
+
+// ID returns the interface's registry id: its index in Connect order,
+// shared by every replica cloned from the same snapshot.
+func (i *Iface) ID() int32 { return i.id }
 
 // SetLoss sets the probability that a packet transmitted from this
 // interface is silently dropped (failure injection). Loss draws come
@@ -105,6 +110,7 @@ type Network struct {
 	byName   map[string]Node
 	nameIdx  map[string]int // frozen name → nodes index, shared by clones
 	ifaces   []*Iface       // registry in Connect order; index = Iface.id
+	plane    RoutePlane     // shared by clones; nil for hand-built networks
 	frozen   bool           // immutable route plane; see Freeze
 	counters []uint64       // indexed by interned counter ID
 	lossRNG  uint64         // xorshift state for deterministic loss draws
@@ -115,8 +121,8 @@ type Network struct {
 	// the frozen route plane or the topology digest.
 	faultEpoch int
 	hook       func(at time.Duration, counter string)
-	bufs     [][]byte // free list of serialization buffers
-	bufSlab  []byte   // arena the free list's buffers are carved from
+	bufs       [][]byte // free list of serialization buffers
+	bufSlab    []byte   // arena the free list's buffers are carved from
 
 	// Observability hooks (see obs.go); both nil/off by default so the
 	// per-packet paths pay only a nil check.
@@ -204,22 +210,11 @@ func (n *Network) FaultEpoch() int { return n.faultEpoch }
 
 // SetFaultEpoch advances the long-horizon churn clock: epoch-churned
 // prefixes are withdrawn for the whole of epoch e iff their per-epoch
-// draw fires (routerFaults.churned). Route memos of churn-afflicted
-// routers are invalidated so lookups cached under the previous epoch
-// never leak across the boundary. Campaigns set the epoch once, before
-// any traffic; within an epoch churn is constant, which is what keeps
-// renders byte-identical across shard counts and restarts.
-func (n *Network) SetFaultEpoch(e int) {
-	if e == n.faultEpoch {
-		return
-	}
-	n.faultEpoch = e
-	for _, node := range n.nodes {
-		if r, ok := node.(*Router); ok && r.faults != nil && r.faults.churnPrefix.IsValid() {
-			r.invalidateRoutes()
-		}
-	}
-}
+// draw fires (routerFaults.churned). Every route lookup consults the
+// epoch afresh. Campaigns set the epoch once, before any traffic;
+// within an epoch churn is constant, which is what keeps renders
+// byte-identical across shard counts and restarts.
+func (n *Network) SetFaultEpoch(e int) { n.faultEpoch = e }
 
 // Now returns the current virtual time.
 func (n *Network) Now() time.Duration { return n.engine.Now() }
@@ -282,6 +277,31 @@ func (n *Network) Node(name string) Node {
 	return nil
 }
 
+// RoutePlane answers route lookups for a whole network from frozen
+// state, keyed by router registration index (Router.Index), which
+// replica clones keep. Egress returns the registry id (Iface.ID) of the
+// interface toward dst, or -1 to fall back to the router's FIB. Owns
+// reports whether dst is one of the router's own addresses; a plane
+// answers ownership for every router of the network it is installed
+// on. Implementations must be safe for concurrent reads: clones share
+// the plane by pointer.
+type RoutePlane interface {
+	Egress(router int, dst netip.Addr) int32
+	Owns(router int, dst netip.Addr) bool
+}
+
+// SetRoutePlane installs the network's route plane, consulted on every
+// hop before the FIB. Clones inherit it.
+func (n *Network) SetRoutePlane(p RoutePlane) { n.plane = p }
+
+// Iface returns the interface with registry id id, or nil.
+func (n *Network) Iface(id int32) *Iface {
+	if id < 0 || int(id) >= len(n.ifaces) {
+		return nil
+	}
+	return n.ifaces[id]
+}
+
 // NumNodes returns how many nodes have been added.
 func (n *Network) NumNodes() int { return len(n.nodes) }
 
@@ -311,9 +331,9 @@ func (n *Network) register(node Node) {
 
 // localize maps an interface of a snapshot source network onto this
 // network's replica of it: identity for nil and for this network's own
-// interfaces, an id-indexed registry lookup for cloned planes. The
-// address check lets hand-built interfaces that never joined a registry
-// pass through untouched.
+// interfaces, an id-indexed registry lookup for FIBs shared with a
+// cloned replica. The address check lets hand-built interfaces that
+// never joined a registry pass through untouched.
 func (n *Network) localize(via *Iface) *Iface {
 	if via == nil || via.net == n {
 		return via
@@ -338,7 +358,7 @@ func (n *Network) Connect(a, b Node, addrA, addrB netip.Addr, delay time.Duratio
 	b.addIface(ib)
 	// Routers learn connected host routes to their link peers, as real
 	// routers do; everything else is the route computation's job.
-	// AddRoute (not fib.Add) so the router's route cache is invalidated.
+	// AddRoute (not fib.Add) so a shared FIB is copied first.
 	if r, ok := a.(*Router); ok {
 		r.AddRoute(netip.PrefixFrom(addrB, 32), ia)
 	}

@@ -148,7 +148,7 @@ func BenchmarkForwardObservability(b *testing.B) {
 		}
 		c.vp.SetSniffer(nil)
 		hdr := makePingRR(b, a(vpAddrStr), a(destAddrStr), 7, 1, 64, 9)
-		// Warm the serialization pool and route caches.
+		// Warm the serialization pool.
 		c.vp.Inject(append(c.net.getBuf(), hdr...))
 		c.net.Engine().Run()
 		b.ReportAllocs()

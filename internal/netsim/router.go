@@ -55,29 +55,16 @@ type Router struct {
 	idx        int // registration index; replica clones keep it
 	behavior   RouterBehavior
 	fib        *FIB
-	routeFn    func(dst netip.Addr) *Iface
 	ifaces     []*Iface
-	local      map[netip.Addr]bool
 	limiter    *TokenBucket
 	errLimiter *TokenBucket
 	ipid       uint16
 	faults     *routerFaults // nil when no fault plan afflicts this router
 
-	// fibShared/localShared mark fib and local as part of a frozen route
-	// plane possibly shared with replica networks (see Network.Freeze):
-	// mutation must copy first. Both clear on the first copy-on-write.
-	fibShared   bool
-	localShared bool
-
-	// routeCache memoizes lookupRoute results per destination (including
-	// negative ones): the routing oracle recomputes a policy path on
-	// every packet, and forwarding asks the same question for every probe
-	// of a campaign. Invalidated whenever the FIB or oracle changes.
-	routeCache map[netip.Addr]*Iface
-	// routeBase is the frozen, read-only memoized-route map inherited
-	// from a snapshot (source-network interface pointers, localized on
-	// hit). It is never written; invalidation just drops the reference.
-	routeBase map[netip.Addr]*Iface
+	// fibShared marks fib as part of a frozen route plane possibly
+	// shared with replica networks (see Network.Freeze): mutation must
+	// copy first. It clears on the first copy-on-write.
+	fibShared bool
 
 	// scratch decoding state; safe because the engine is single-threaded.
 	ip packet.IPv4
@@ -86,10 +73,6 @@ type Router struct {
 	sr packet.SourceRoute
 }
 
-// routeCacheMax bounds the per-router cache; on overflow the cache is
-// reset wholesale, which keeps memory proportional to the working set.
-const routeCacheMax = 1 << 14
-
 // AddRouter creates a router and registers it with the network.
 func (n *Network) AddRouter(name string, behavior RouterBehavior) *Router {
 	r := &Router{
@@ -97,7 +80,6 @@ func (n *Network) AddRouter(name string, behavior RouterBehavior) *Router {
 		net:      n,
 		behavior: behavior,
 		fib:      NewFIB(),
-		local:    make(map[netip.Addr]bool),
 		ipid:     seedIPID(name),
 	}
 	n.register(r)
@@ -158,6 +140,10 @@ func (r *Router) Behavior() RouterBehavior { return r.behavior }
 // FIB returns the router's forwarding table for route installation.
 func (r *Router) FIB() *FIB { return r.fib }
 
+// Index returns the router's registration index within its network —
+// the key a RoutePlane answers by. Replica clones keep it.
+func (r *Router) Index() int { return r.idx }
+
 // AddRoute installs a route for prefix via the given interface. On a
 // router whose FIB belongs to a frozen, shared route plane the table is
 // copied first (copy-on-write), so siblings cloned from the same
@@ -168,101 +154,45 @@ func (r *Router) AddRoute(prefix netip.Prefix, via *Iface) {
 		r.fibShared = false
 	}
 	r.fib.Add(prefix, via)
-	r.invalidateRoutes()
 }
 
-// SetRouteFunc installs a routing oracle consulted before the FIB.
-// Large generated topologies use a shared oracle instead of populating
-// millions of per-router FIB entries; fn returning nil falls back to the
-// FIB (which still holds connected routes).
-func (r *Router) SetRouteFunc(fn func(dst netip.Addr) *Iface) {
-	r.routeFn = fn
-	r.invalidateRoutes()
-}
-
-// invalidateRoutes drops all memoized lookups after a routing change.
-// The shared frozen base (if any) is detached, never mutated: sibling
-// replicas keep reading it.
-func (r *Router) invalidateRoutes() {
-	clear(r.routeCache)
-	r.routeBase = nil
-}
-
-// lookupRoute resolves the egress interface for dst via the oracle or
-// FIB, memoizing the result (nil included: no route stays no route until
-// routing changes). A replica cloned from a snapshot first consults the
-// snapshot's frozen memo (routeBase), localizing its plane pointers.
+// lookupRoute resolves the egress interface for dst. The router's fault
+// state goes first (a withdrawn or churned prefix is blackholed), then
+// the network's route plane, then the FIB. Nothing is memoized: every
+// answer is recomputed from frozen slabs and the current fault clock,
+// so there is no cache to invalidate at a withdrawal boundary, an
+// epoch change or a clone.
 func (r *Router) lookupRoute(dst netip.Addr) *Iface {
-	if f := r.faults; f != nil && f.withdraw.duty > 0 {
-		// A transient withdrawal boundary invalidates memoized routes —
-		// the same hook a real routing change uses — so cached entries
-		// never straddle a withdrawal flip.
-		if n := f.withdraw.flips(r.net.Now()); n != f.wFlips {
-			f.wFlips = n
-			r.invalidateRoutes()
-			r.count(cChaosRouteFlip)
+	if f := r.faults; f != nil && r.blackholed(f, dst) {
+		return nil
+	}
+	if p := r.net.plane; p != nil {
+		if id := p.Egress(r.idx, dst); id >= 0 {
+			return r.net.ifaces[id]
 		}
 	}
-	if via, ok := r.routeCache[dst]; ok {
-		return via
-	}
-	via, hit := (*Iface)(nil), false
-	if r.routeBase != nil {
-		via, hit = r.routeBase[dst]
-		if hit {
-			via = r.net.localize(via)
-		}
-	}
-	if !hit {
-		via = r.net.localize(r.lookupRouteSlow(dst))
-	}
-	if r.routeCache == nil || len(r.routeCache) >= routeCacheMax {
-		r.routeCache = make(map[netip.Addr]*Iface, 64)
-	}
-	r.routeCache[dst] = via
-	return via
-}
-
-// lookupRouteSlow is the uncached resolution path.
-func (r *Router) lookupRouteSlow(dst netip.Addr) *Iface {
-	if f := r.faults; f != nil {
-		if f.prefix.IsValid() && f.prefix.Contains(dst) && f.withdraw.active(r.net.Now()) {
-			return nil
-		}
-		// Epoch churn: the churned prefix is blackholed for the whole of
-		// any epoch whose (seed, epoch) draw fires. Constant within an
-		// epoch, so the memoized result stays valid until SetFaultEpoch.
-		if f.churnPrefix.IsValid() && f.churnPrefix.Contains(dst) && f.churned(r.net.faultEpoch) {
-			r.count(cChaosChurn)
-			return nil
-		}
-	}
-	if r.routeFn != nil {
-		if via := r.routeFn(dst); via != nil {
-			return via
-		}
-	}
-	return r.fib.Lookup(dst)
+	return r.net.localize(r.fib.Lookup(dst))
 }
 
 // Interfaces returns the router's interfaces in attachment order.
 func (r *Router) Interfaces() []*Iface { return r.ifaces }
 
-// Addrs reports whether addr is local to the router.
-func (r *Router) ownsAddr(addr netip.Addr) bool { return r.local[addr] }
-
-func (r *Router) addIface(i *Iface) {
-	if r.localShared {
-		local := make(map[netip.Addr]bool, len(r.local)+1)
-		for a := range r.local {
-			local[a] = true
-		}
-		r.local = local
-		r.localShared = false
+// ownsAddr reports whether addr is local to the router: the route
+// plane answers when the network has one, otherwise (hand-built
+// networks) the router scans its own interfaces.
+func (r *Router) ownsAddr(addr netip.Addr) bool {
+	if p := r.net.plane; p != nil {
+		return p.Owns(r.idx, addr)
 	}
-	r.ifaces = append(r.ifaces, i)
-	r.local[i.Addr] = true
+	for _, i := range r.ifaces {
+		if i.Addr == addr {
+			return true
+		}
+	}
+	return false
 }
+
+func (r *Router) addIface(i *Iface) { r.ifaces = append(r.ifaces, i) }
 
 // nextID returns the next IP identifier from the router's shared
 // counter. A shared monotonic counter across interfaces is the signal

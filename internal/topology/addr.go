@@ -10,12 +10,14 @@ import (
 // x.y.1.0/24, …), vantage-point hosts use the /24 at vpSlot, and
 // infrastructure (link) addresses are allocated from the top downward.
 // Mapping any address back to its owning AS is a shift, which keeps the
-// routing oracle O(1).
+// route plane (plane.go) a set of slab lookups.
 const (
 	addrBase     uint32 = 0x64000000 // 100.0.0.0
 	maxASes             = 4096       // keeps supernets inside 100.0.0.0/4-ish space
 	vpSlot              = 250        // third octet reserved for VP hosts
 	maxDestSlots        = 240
+	aliasOctet          = 129    // last octet of a destination's alias
+	infraTop            = 0xfffe // first infrastructure offset; later ones count down
 )
 
 // u32Addr converts a uint32 to a netip.Addr.
@@ -38,7 +40,7 @@ type asPlan struct {
 }
 
 func newASPlan(asIdx int) *asPlan {
-	return &asPlan{base: addrBase + uint32(asIdx)<<16, infra: 0xfffe}
+	return &asPlan{base: addrBase + uint32(asIdx)<<16, infra: infraTop}
 }
 
 // Supernet returns the AS's /16.
@@ -68,7 +70,7 @@ func (p *asPlan) DestAddr(j int, octet uint8) netip.Addr {
 
 // AliasAddr returns the alias address paired with destination j (the
 // ".129" of the same /24 — a second interface of the same device).
-func (p *asPlan) AliasAddr(j int) netip.Addr { return u32Addr(p.base + uint32(j)<<8 + 129) }
+func (p *asPlan) AliasAddr(j int) netip.Addr { return u32Addr(p.base + uint32(j)<<8 + aliasOctet) }
 
 // VPAddr returns the k'th vantage-point host address in the AS.
 func (p *asPlan) VPAddr(k int) netip.Addr {
@@ -87,18 +89,4 @@ func (p *asPlan) NextInfra() netip.Addr {
 		panic("topology: infrastructure address space exhausted")
 	}
 	return a
-}
-
-// asOfAddr maps an address back to the owning AS index, or -1 when the
-// address is outside the plan.
-func asOfAddr(a netip.Addr, numASes int) int {
-	v := addrU32(a)
-	if v < addrBase {
-		return -1
-	}
-	idx := int((v - addrBase) >> 16)
-	if idx >= numASes {
-		return -1
-	}
-	return idx
 }

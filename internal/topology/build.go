@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"math/rand/v2"
-	"net/netip"
 	"sync/atomic"
 	"time"
 
@@ -32,29 +31,13 @@ func Build(cfg Config) (*Topology, error) {
 	assignPolicies(cfg, ases, rng)
 	routes := ComputeRoutes(graph)
 
-	// Exact totals are known before any map fills, so size them up front:
-	// at large scale these maps hold 10⁵+ entries and incremental growth
-	// dominates build time otherwise.
-	totalPrefixes, totalRouters, links := 0, 0, 0
-	for i, a := range ases {
-		totalPrefixes += a.NumPrefixes
-		totalRouters += a.NumRouters
-		links += len(graph.Neighbors(i))
-	}
-	links = links/2 + totalRouters - len(ases) // inter-AS + intra-AS tree
-	numVPs := cfg.NumMLab + cfg.NumPlanetLab + len(cfg.CloudNames)
-	hosts := totalPrefixes + totalPrefixes/8 + numVPs // destinations + occasional aliases + VPs
-
 	t := &Topology{
-		Cfg:        cfg,
-		Net:        netsim.New(),
-		Graph:      graph,
-		Routes:     routes,
-		ASes:       ases,
-		hostIface:  make(map[netip.Addr]*netsim.Iface, hosts),
-		hostAttach: make(map[netip.Addr]int, hosts),
-		routerAddr: make(map[netip.Addr]int, 2*links+totalPrefixes+numVPs),
-		destByAddr: make(map[netip.Addr]int32, totalPrefixes),
+		Cfg:    cfg,
+		Net:    netsim.New(),
+		Graph:  graph,
+		Routes: routes,
+		ASes:   ases,
+		plane:  newPlane(len(ases), routes),
 	}
 
 	plans := make([]*asPlan, len(ases))
@@ -67,7 +50,8 @@ func Build(cfg Config) (*Topology, error) {
 	t.buildInterLinks(plans, rng)
 	t.buildDests(plans, rng)
 	t.buildVPs(plans, rng)
-	t.installOracle()
+	t.plane.freeze(t)
+	t.Net.SetRoutePlane(t.plane)
 	t.installFaults()
 	builds.Add(1)
 	return t, nil
@@ -92,7 +76,7 @@ func (t *Topology) installFaults() {
 		}
 	}
 	for _, d := range t.Dests {
-		plan.AddWithdrawal(t.Routers[d.ASIdx][t.hostAttach[d.Addr]], d.Prefix)
+		plan.AddWithdrawal(d.Host.Uplink().Peer().Owner.(*netsim.Router), d.Prefix)
 	}
 	t.Faults = plan.Install()
 }
@@ -132,11 +116,6 @@ func (t *Topology) routerBehavior(a *AS, rng *rand.Rand) netsim.RouterBehavior {
 
 func (t *Topology) buildRouters(rng *rand.Rand) {
 	t.Routers = make([][]*netsim.Router, len(t.ASes))
-	total := 0
-	for _, a := range t.ASes {
-		total += a.NumRouters
-	}
-	t.routerIndex = make(map[*netsim.Router][2]int, total)
 	for i, a := range t.ASes {
 		rs := make([]*netsim.Router, a.NumRouters)
 		// Connected /32 routes per router: tree links plus this AS's share
@@ -148,7 +127,6 @@ func (t *Topology) buildRouters(rng *rand.Rand) {
 		for j := range rs {
 			rs[j] = t.Net.AddRouter(fmt.Sprintf("as%d-r%d", i, j), t.routerBehavior(a, rng))
 			rs[j].FIB().Grow(fibHint)
-			t.routerIndex[rs[j]] = [2]int{i, j}
 		}
 		t.Routers[i] = rs
 	}
@@ -175,14 +153,10 @@ func chainBias(r Role) float64 {
 // depths — the spread Figure 1's hop CDF measures.
 func (t *Topology) buildIntraLinks(plans []*asPlan, rng *rand.Rand) {
 	t.parent = make([][]int, len(t.ASes))
-	t.upIface = make([][]*netsim.Iface, len(t.ASes))
-	t.downIface = make([][]*netsim.Iface, len(t.ASes))
 	for i, a := range t.ASes {
 		n := len(t.Routers[i])
 		t.parent[i] = make([]int, n)
 		t.parent[i][0] = -1
-		t.upIface[i] = make([]*netsim.Iface, n)
-		t.downIface[i] = make([]*netsim.Iface, n)
 		bias := chainBias(a.Role) + t.Cfg.ChainBoost
 		if bias > 0.95 {
 			bias = 0.95
@@ -199,17 +173,15 @@ func (t *Topology) buildIntraLinks(plans []*asPlan, rng *rand.Rand) {
 
 // attachChild links router j of AS i under parent p and registers the
 // interfaces. It also serves routers appended after the initial build
-// (dedicated VP gateways), which must extend parent/upIface/downIface
-// before calling.
+// (dedicated VP gateways), which must extend parent before calling.
 func (t *Topology) attachChild(plans []*asPlan, rng *rand.Rand, i, j, p int) {
 	parentAddr, childAddr := plans[i].NextInfra(), plans[i].NextInfra()
 	delay := time.Duration(1+rng.IntN(3)) * time.Millisecond
 	pi, ci := t.Net.Connect(t.Routers[i][p], t.Routers[i][j], parentAddr, childAddr, delay)
 	t.parent[i][j] = p
-	t.downIface[i][j] = pi
-	t.upIface[i][j] = ci
-	t.routerAddr[parentAddr] = p
-	t.routerAddr[childAddr] = j
+	t.plane.setParent(i, j, ci.ID(), pi.ID())
+	t.plane.setOwner(i, parentAddr, p)
+	t.plane.setOwner(i, childAddr, j)
 }
 
 // borderCandidates lists an AS's routers eligible to host inter-AS
@@ -255,12 +227,6 @@ func (t *Topology) deepBorderCandidates(i int) []int {
 // buildInterLinks realizes each AS adjacency as one router-level link
 // between randomly chosen border routers.
 func (t *Topology) buildInterLinks(plans []*asPlan, rng *rand.Rand) {
-	t.borderIface = make([]map[int]*netsim.Iface, len(t.ASes))
-	t.borderIdx = make([]map[int]int, len(t.ASes))
-	for i := range t.ASes {
-		t.borderIface[i] = make(map[int]*netsim.Iface)
-		t.borderIdx[i] = make(map[int]int)
-	}
 	borders := make([][]int, len(t.ASes))
 	deepBorders := make([][]int, len(t.ASes))
 	for i := range t.ASes {
@@ -289,12 +255,10 @@ func (t *Topology) buildInterLinks(plans []*asPlan, rng *rand.Rand) {
 			addrA, addrB := plans[a].NextInfra(), plans[b].NextInfra()
 			delay := time.Duration(3+rng.IntN(13)) * time.Millisecond
 			ia, ib := t.Net.Connect(t.Routers[a][ra], t.Routers[b][rb], addrA, addrB, delay)
-			t.borderIface[a][b] = ia
-			t.borderIdx[a][b] = ra
-			t.borderIface[b][a] = ib
-			t.borderIdx[b][a] = rb
-			t.routerAddr[addrA] = ra
-			t.routerAddr[addrB] = rb
+			t.plane.addExit(a, b, ra, ia.ID())
+			t.plane.addExit(b, a, rb, ib.ID())
+			t.plane.setOwner(a, addrA, ra)
+			t.plane.setOwner(b, addrB, rb)
 		}
 	}
 }
@@ -305,6 +269,8 @@ func (t *Topology) buildDests(plans []*asPlan, rng *rand.Rand) {
 	cfg := t.Cfg
 	for i, a := range t.ASes {
 		typ := a.Type()
+		slots := make([]hostSlot, a.NumPrefixes)
+		t.plane.ases[i].dests = slots
 		for j := 0; j < a.NumPrefixes; j++ {
 			hb := netsim.HostBehavior{
 				PingResponsive: rng.Float64() < cfg.PingResponsiveRate[typ],
@@ -338,16 +304,16 @@ func (t *Topology) buildDests(plans []*asPlan, rng *rand.Rand) {
 			gwAddr := plans[i].NextInfra()
 			delay := time.Duration(1+rng.IntN(5)) * time.Millisecond
 			gwIf, _ := t.Net.Connect(t.Routers[i][attach], host, gwAddr, d.Addr, delay)
-			t.routerAddr[gwAddr] = attach
-			t.hostIface[d.Addr] = gwIf
-			t.hostAttach[d.Addr] = attach
-			if d.GTAlias.IsValid() {
-				t.hostIface[d.GTAlias] = gwIf
-				t.hostAttach[d.GTAlias] = attach
+			t.plane.setOwner(i, gwAddr, attach)
+			slots[j] = hostSlot{
+				gw:     gwIf.ID(),
+				attach: int32(attach),
+				dest:   int32(len(t.Dests)),
+				octet:  d.Addr.As4()[3],
+				alias:  d.GTAlias.IsValid(),
 			}
 			d.Host = host
 			t.Dests = append(t.Dests, d)
-			t.destByAddr[d.Addr] = int32(len(t.Dests) - 1)
 		}
 	}
 }
@@ -382,18 +348,15 @@ func (t *Topology) buildVPs(plans []*asPlan, rng *rand.Rand) {
 			})
 			j := len(t.Routers[asIdx])
 			t.Routers[asIdx] = append(t.Routers[asIdx], gw)
-			t.routerIndex[gw] = [2]int{asIdx, j}
 			t.parent[asIdx] = append(t.parent[asIdx], 0)
-			t.upIface[asIdx] = append(t.upIface[asIdx], nil)
-			t.downIface[asIdx] = append(t.downIface[asIdx], nil)
 			t.attachChild(plans, rng, asIdx, j, 0)
 			attach = j
 		}
 		gwAddr := plans[asIdx].NextInfra()
 		gwIf, _ := t.Net.Connect(t.Routers[asIdx][attach], host, gwAddr, addr, time.Millisecond)
-		t.routerAddr[gwAddr] = attach
-		t.hostIface[addr] = gwIf
-		t.hostAttach[addr] = attach
+		t.plane.setOwner(asIdx, gwAddr, attach)
+		s := &t.plane.ases[asIdx]
+		s.vps = append(s.vps, hostSlot{gw: gwIf.ID(), attach: int32(attach), dest: -1, octet: addr.As4()[3]})
 		return &VP{Name: name, Kind: kind, Addr: addr, ASIdx: asIdx, Host: host, SourceRateLimited: limited}
 	}
 
@@ -410,18 +373,6 @@ func (t *Topology) buildVPs(plans []*asPlan, rng *rand.Rand) {
 	for _, a := range t.ASes {
 		if a.Role == RoleCloud {
 			t.CloudVPs = append(t.CloudVPs, addVP(a.Name, Cloud, a.Index, 0, false))
-		}
-	}
-}
-
-// installOracle wires every router to the shared routing oracle.
-func (t *Topology) installOracle() {
-	for a := range t.Routers {
-		for j, r := range t.Routers[a] {
-			a, j := a, j
-			r.SetRouteFunc(func(dst netip.Addr) *netsim.Iface {
-				return t.route(a, j, dst)
-			})
 		}
 	}
 }

@@ -339,11 +339,11 @@ func TestCloudInterconnectsLandDeep(t *testing.T) {
 			if topo.ASes[nb.To].Role != RoleAccess {
 				continue
 			}
-			idx, ok := topo.borderIdx[nb.To][ci]
+			e, ok := topo.plane.ases[nb.To].exitToward(int32(ci))
 			if !ok {
 				continue
 			}
-			if topo.depthOf(nb.To, idx) > 1 {
+			if topo.depthOf(nb.To, int(e.router)) > 1 {
 				sawDeep = true
 			}
 		}
@@ -356,12 +356,12 @@ func TestCloudInterconnectsLandDeep(t *testing.T) {
 		if topo.ASes[a].Role != RoleAccess {
 			continue
 		}
-		for nbr, idx := range topo.borderIdx[a] {
-			if topo.ASes[nbr].Role == RoleCloud {
+		for _, e := range topo.plane.ases[a].exits {
+			if topo.ASes[e.nbr].Role == RoleCloud {
 				continue
 			}
-			if d := topo.depthOf(a, idx); d > 1 {
-				t.Errorf("access as%d border to %v at depth %d", a, topo.ASes[nbr].Role, d)
+			if d := topo.depthOf(a, int(e.router)); d > 1 {
+				t.Errorf("access as%d border to %v at depth %d", a, topo.ASes[e.nbr].Role, d)
 			}
 		}
 	}

@@ -6,8 +6,8 @@ import (
 
 // Snapshot is a frozen, built topology that stamps out replicas without
 // regenerating anything. The expensive route plane — AS graph, all-pairs
-// policy routes, FIB contents, addressing, link delays, the oracle's
-// attachment indexes — is computed once by Build and shared read-only by
+// policy routes, FIB contents, addressing, link delays, the route-plane
+// slabs — is computed once by Build and shared read-only by
 // every replica; each Clone gets only a fresh mutable overlay (engine,
 // counters, policers, IP-ID state) via netsim.Network.Clone.
 type Snapshot struct {
@@ -41,19 +41,11 @@ func (s *Snapshot) Clone() *Topology {
 		ASes:   src.ASes,
 		Faults: src.Faults,
 
-		// The oracle state is part of the frozen plane. Its interface and
-		// router pointers reference the source network; packet forwarding
-		// localizes them (netsim lookupRoute), and ground-truth helpers
-		// like ForwardStampPath traverse the shared plane directly.
-		hostIface:   src.hostIface,
-		hostAttach:  src.hostAttach,
-		routerAddr:  src.routerAddr,
-		parent:      src.parent,
-		upIface:     src.upIface,
-		downIface:   src.downIface,
-		borderIface: src.borderIface,
-		borderIdx:   src.borderIdx,
-		routerIndex: src.routerIndex,
+		// The route plane holds only indexes — router registration
+		// indexes and interface ids — which mean the same thing in every
+		// replica, so the clone shares it by pointer.
+		plane:  src.plane,
+		parent: src.parent,
 	}
 
 	c.Routers = make([][]*netsim.Router, len(src.Routers))
@@ -65,10 +57,7 @@ func (s *Snapshot) Clone() *Topology {
 		c.Routers[i] = crs
 	}
 
-	// destByAddr maps to indexes, so the (large) map itself is part of
-	// the shared plane; only the Dest records are per-replica, allocated
-	// as one block.
-	c.destByAddr = src.destByAddr
+	// Only the Dest records are per-replica, allocated as one block.
 	c.Dests = make([]*Dest, len(src.Dests))
 	block := make([]Dest, len(src.Dests))
 	for i, d := range src.Dests {

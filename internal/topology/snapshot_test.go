@@ -57,7 +57,7 @@ func TestSnapshotCloneStructure(t *testing.T) {
 			t.Fatalf("dest %d (%v) misremapped", i, d.Addr)
 		}
 		if clone.DestByAddr(d.Addr) != cd {
-			t.Fatalf("destByAddr(%v) not rebuilt", d.Addr)
+			t.Fatalf("DestByAddr(%v) not remapped", d.Addr)
 		}
 	}
 }

@@ -88,37 +88,24 @@ type Topology struct {
 	// is nil).
 	Faults netsim.FaultSummary
 
-	// routing oracle state
-	hostIface  map[netip.Addr]*netsim.Iface // router-side iface toward a host
-	hostAttach map[netip.Addr]int           // attach router idx for a host addr
-	routerAddr map[netip.Addr]int           // router idx owning an infra addr
-	// Intra-AS routers form a tree rooted at router 0. parent[a][j] is
-	// router j's parent (-1 for the root); upIface[a][j] the interface
-	// from j toward its parent; downIface[a][j] the interface from
-	// parent[a][j] toward j.
-	parent    [][]int
-	upIface   [][]*netsim.Iface
-	downIface [][]*netsim.Iface
-	// borderIface[a][nbrAS] / borderIdx[a][nbrAS]: the inter-AS link.
-	borderIface []map[int]*netsim.Iface
-	borderIdx   []map[int]int
-
-	destByAddr  map[netip.Addr]int32      // addr → index in Dests (shared by clones)
-	routerIndex map[*netsim.Router][2]int // router → (AS index, router index)
+	// plane is the frozen route plane (plane.go), shared by clones.
+	// parent[a][j] is router j's parent in AS a's router tree, rooted at
+	// router 0 (-1 for the root).
+	plane  *plane
+	parent [][]int
 }
 
 // RouterByAddr returns the router owning an infrastructure address, or
 // nil. Tests use it to consult ground-truth router behaviour.
 func (t *Topology) RouterByAddr(a netip.Addr) *netsim.Router {
-	asIdx := t.ASOf(a)
-	if asIdx < 0 {
+	as, off := splitAddr(a, len(t.ASes))
+	if as < 0 {
 		return nil
 	}
-	idx, ok := t.routerAddr[a]
-	if !ok {
-		return nil
+	if j := t.plane.ases[as].owner(off); j >= 0 {
+		return t.Routers[as][j]
 	}
-	return t.Routers[asIdx][idx]
+	return nil
 }
 
 // ForwardStampPath returns the egress interface addresses a packet from
@@ -127,40 +114,42 @@ func (t *Topology) RouterByAddr(a netip.Addr) *netsim.Router {
 // stamp. It is ground truth for validating measurements; nil when either
 // address is unknown or unrouted.
 func (t *Topology) ForwardStampPath(src, dst netip.Addr) []netip.Addr {
-	gw, ok := t.hostIface[src]
-	if !ok {
+	as, off := splitAddr(src, len(t.ASes))
+	if as < 0 {
 		return nil
 	}
-	cur, okr := gw.Owner.(*netsim.Router)
-	if !okr {
+	h := t.plane.ases[as].host(off)
+	if h == nil {
 		return nil
 	}
+	cur := t.Routers[as][h.attach]
 	var stamps []netip.Addr
 	for hop := 0; hop < 64; hop++ {
-		pos, ok := t.routerIndex[cur]
-		if !ok {
-			return nil
-		}
-		egress := t.route(pos[0], pos[1], dst)
-		if egress == nil {
+		id := t.plane.Egress(cur.Index(), dst)
+		if id < 0 {
 			// Local delivery to this router itself.
-			if idx, isRouter := t.routerAddr[dst]; isRouter && idx == pos[1] && t.ASOf(dst) == pos[0] {
+			if t.plane.Owns(cur.Index(), dst) {
 				return stamps
 			}
 			return nil
 		}
+		egress := t.Net.Iface(id)
 		stamps = append(stamps, egress.Addr)
-		next := egress.Peer().Owner
-		if _, isHost := next.(*netsim.Host); isHost {
+		next, isRouter := egress.Peer().Owner.(*netsim.Router)
+		if !isRouter {
 			return stamps
 		}
-		cur = next.(*netsim.Router)
+		cur = next
 	}
 	return nil
 }
 
-// ASOf maps any address from the plan to its owning AS index, or -1.
-func (t *Topology) ASOf(a netip.Addr) int { return asOfAddr(a, len(t.ASes)) }
+// ASOf maps any address from the plan to its owning AS index, or -1
+// (also for the zero Addr and non-IPv4 addresses).
+func (t *Topology) ASOf(a netip.Addr) int {
+	as, _ := splitAddr(a, len(t.ASes))
+	return as
+}
 
 // ASNOf maps an address to its owning AS number, or -1.
 func (t *Topology) ASNOf(a netip.Addr) int {
@@ -173,8 +162,12 @@ func (t *Topology) ASNOf(a netip.Addr) int {
 
 // DestByAddr returns the destination record probed at a, or nil.
 func (t *Topology) DestByAddr(a netip.Addr) *Dest {
-	if i, ok := t.destByAddr[a]; ok {
-		return t.Dests[i]
+	as, off := splitAddr(a, len(t.ASes))
+	if as < 0 {
+		return nil
+	}
+	if h := t.plane.ases[as].host(off); h != nil && h.dest >= 0 && t.Dests[h.dest].Addr == a {
+		return t.Dests[h.dest]
 	}
 	return nil
 }
@@ -192,63 +185,6 @@ func (t *Topology) VPByName(name string) *VP {
 		}
 	}
 	return nil
-}
-
-// route is the shared routing oracle: the egress interface for a packet
-// at router (asIdx, rIdx) toward dst, or nil to fall back to the FIB.
-func (t *Topology) route(asIdx, rIdx int, dst netip.Addr) *netsim.Iface {
-	dstAS := t.ASOf(dst)
-	if dstAS < 0 {
-		return nil
-	}
-	if dstAS == asIdx {
-		// Intra-AS delivery: find the target router, then hop the star.
-		if tgt, ok := t.hostAttach[dst]; ok {
-			if tgt == rIdx {
-				return t.hostIface[dst]
-			}
-			return t.intraToward(asIdx, rIdx, tgt)
-		}
-		if tgt, ok := t.routerAddr[dst]; ok {
-			if tgt == rIdx {
-				return nil // local to this router; netsim handles it
-			}
-			return t.intraToward(asIdx, rIdx, tgt)
-		}
-		return nil
-	}
-	nh := t.Routes.NextHop(asIdx, dstAS)
-	if nh < 0 {
-		return nil
-	}
-	// Route toward the border with the next-hop AS. When there is no
-	// direct adjacency (shouldn't happen with consistent routes), drop.
-	b, ok := t.borderIdx[asIdx][nh]
-	if !ok {
-		return nil
-	}
-	if b == rIdx {
-		return t.borderIface[asIdx][nh]
-	}
-	return t.intraToward(asIdx, rIdx, b)
-}
-
-// intraToward returns the next interface from router rIdx toward router
-// tgt inside AS a. The intra-AS topology is a tree rooted at router 0:
-// if tgt is in rIdx's subtree the packet goes down one child; otherwise
-// it climbs to rIdx's parent.
-func (t *Topology) intraToward(a, rIdx, tgt int) *netsim.Iface {
-	if rIdx == tgt {
-		return nil
-	}
-	// Climb from tgt toward the root; if we pass through rIdx, tgt is
-	// below us and the crossing child is the next hop downward.
-	for c := tgt; c >= 0; c = t.parent[a][c] {
-		if t.parent[a][c] == rIdx {
-			return t.downIface[a][c]
-		}
-	}
-	return t.upIface[a][rIdx]
 }
 
 // depthOf returns a router's depth in its AS tree (root = 0).

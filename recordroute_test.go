@@ -46,6 +46,20 @@ func TestInternetInventory(t *testing.T) {
 	}
 }
 
+// OriginASN is -1 for addresses outside the plan, the zero Addr and
+// IPv6 addresses included.
+func TestOriginASNOutsidePlan(t *testing.T) {
+	in := smallInternet(t)
+	if asn := in.OriginASN(in.Destinations()[0]); asn < 0 {
+		t.Fatalf("OriginASN(destination) = %d", asn)
+	}
+	for _, a := range []netip.Addr{{}, netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("10.0.0.1")} {
+		if asn := in.OriginASN(a); asn != -1 {
+			t.Errorf("OriginASN(%v) = %d, want -1", a, asn)
+		}
+	}
+}
+
 // respondingDest finds a destination that answers ping-RR from vp.
 func respondingDest(t *testing.T, in *Internet, vp string) (dst Reply, addr string) {
 	t.Helper()
