@@ -30,7 +30,8 @@
 // Submissions name a tenant via the X-Tenant header ("default" when
 // absent). A tenant past -tenant-quota in-flight jobs, or out of
 // -tenant-rate/-tenant-burst tokens, is refused with 429 and a
-// Retry-After — per-tenant QoS, distinct from the shared-queue 503.
+// Retry-After — per-tenant QoS, distinct from the shared-queue 503. A
+// job or schedule spec larger than 64 KiB is refused with 413.
 // Submissions beyond the queue capacity are refused with 503 (and a
 // Retry-After), so a flood degrades into backpressure rather than
 // memory growth. Failed attempts are classified (DESIGN.md §13):
@@ -57,6 +58,16 @@ import (
 	"time"
 
 	"recordroute/internal/server"
+)
+
+// Connection limits. A client gets readHeaderTimeout to send its request
+// headers, and an idle keep-alive connection is closed after
+// idleTimeout. There is no read or write timeout on the whole request:
+// /jobs/{id}/stream responses last as long as a campaign, and their
+// writes are bounded per write by -stream-timeout instead.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -117,7 +128,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("listening on %s (%d workers, queue %d, cache %d, deadline %v, retries %d)",

@@ -18,7 +18,8 @@ import (
 // event is the payload of a scheduled occurrence: either a callback
 // (fn != nil) or a packet delivery (pkt/dst set). Packet deliveries are
 // a dedicated event kind so the per-packet hot path schedules no closure
-// and the engine can recycle the buffer once the receiver returns.
+// and the engine can recycle the buffer once the receiver returns
+// without having handed it on.
 // Payloads live in the engine's slab (see Engine), not in the heap
 // array.
 type event struct {
@@ -92,7 +93,8 @@ func (e *Engine) Schedule(d time.Duration, fn func()) {
 
 // scheduleDelivery enqueues a packet delivery to dst after delay d,
 // ordered exactly like Schedule. The engine owns pkt until delivery and
-// returns it to the owning network's buffer pool afterwards.
+// returns it to the owning network's buffer pool afterwards, unless the
+// receiver handed it on (Node.Receive).
 func (e *Engine) scheduleDelivery(d time.Duration, pkt []byte, dst *Iface) {
 	if d < 0 {
 		d = 0
@@ -144,8 +146,9 @@ func (e *Engine) step() {
 		return
 	}
 	dst := ev.dst
-	dst.Owner.Receive(ev.pkt, dst)
-	dst.net.putBuf(ev.pkt)
+	if !dst.Owner.Receive(ev.pkt, dst) {
+		dst.net.putBuf(ev.pkt)
+	}
 }
 
 // The heap is hand-rolled rather than container/heap: the interface

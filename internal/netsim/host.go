@@ -64,8 +64,6 @@ type Host struct {
 	sniffer  SnifferFunc
 
 	ip packet.IPv4
-	rr packet.RecordRoute
-	ts packet.Timestamp
 }
 
 // AddHost creates a host with the given primary address and registers it.
@@ -164,8 +162,9 @@ func (h *Host) Inject(pkt []byte) {
 	h.uplink.Send(pkt)
 }
 
-// Receive implements Node.
-func (h *Host) Receive(pkt []byte, on *Iface) {
+// Receive implements Node. Hosts never forward, so handedOn is always
+// false: the buffer goes back to the network.
+func (h *Host) Receive(pkt []byte, on *Iface) (handedOn bool) {
 	payload, err := h.ip.Decode(pkt)
 	if err != nil {
 		h.countName("host.drop.parse")
@@ -200,6 +199,7 @@ func (h *Host) Receive(pkt []byte, on *Iface) {
 	default:
 		h.countName("host.drop.proto")
 	}
+	return false
 }
 
 // receiveICMP answers echo requests; other ICMP is sniffer-only.
@@ -219,47 +219,42 @@ func (h *Host) receiveICMP(payload []byte) {
 		}
 		return
 	}
-	reply := icmp.EchoReply()
 	hdr := packet.IPv4{
 		TTL:      64,
 		ID:       h.nextID(),
 		Protocol: packet.ProtocolICMP,
 		Src:      h.ip.Dst, // reply from the probed address
 		Dst:      h.ip.Src,
+		Options:  h.net.replyOpts[:0],
 	}
-	if found, err := h.ip.RecordRouteOption(&h.rr); found && err == nil && h.behavior.CopyRROnReply {
-		cp := h.rr.Clone()
-		if h.behavior.HonorRR {
-			stamp := h.behavior.StampAddr
-			if !stamp.IsValid() {
-				stamp = h.ip.Dst
+	// Record Route and Timestamp options are copied into the reply and
+	// completed under the same policy. The request is consumed here, so
+	// each option is stamped where it lies and the reply's option list
+	// points at it.
+	if h.behavior.CopyRROnReply {
+		stamp := h.behavior.StampAddr
+		if !stamp.IsValid() {
+			stamp = h.ip.Dst
+		}
+		if rr, ok := h.ip.RecordRouteData(); ok {
+			if h.behavior.HonorRR {
+				packet.StampRecordRoute(rr, stamp) // no-op when already full
 			}
-			cp.Record(stamp) // no-op when already full
+			hdr.Options = append(hdr.Options, packet.Option{Type: packet.OptRecordRoute, Data: rr})
 		}
-		if err := hdr.SetRecordRoute(cp); err != nil {
-			h.countName("host.drop.rrencode")
-			return
-		}
-	}
-	// Timestamp options are copied and completed under the same policy.
-	if found, err := h.ip.TimestampOption(&h.ts); found && err == nil && h.behavior.CopyRROnReply {
-		if h.behavior.HonorRR {
-			stamp := h.behavior.StampAddr
-			if !stamp.IsValid() {
-				stamp = h.ip.Dst
+		if ts, ok := h.ip.TimestampData(); ok {
+			if h.behavior.HonorRR {
+				packet.StampTimestamp(ts, stamp, uint32(h.net.Now().Milliseconds()))
 			}
-			h.ts.Record(stamp, uint32(h.net.Now().Milliseconds()))
-		}
-		if err := hdr.SetTimestamp(&h.ts); err != nil {
-			h.countName("host.drop.tsencode")
-			return
+			hdr.Options = append(hdr.Options, packet.Option{Type: packet.OptTimestamp, Data: ts})
 		}
 	}
+	h.net.replyOpts = hdr.Options
 	h.count(cHostEchoReply)
 	if h.net.tracer != nil {
 		h.trace("host.echo.reply")
 	}
-	h.send(&hdr, reply.Marshal())
+	h.send(&hdr, icmp.EchoReply())
 }
 
 // receiveUDP generates port-unreachable errors for closed ports. The
@@ -292,19 +287,20 @@ func (h *Host) receiveUDP(raw, payload []byte) {
 	if h.net.tracer != nil {
 		h.trace("host.udp.unreach")
 	}
-	h.send(&hdr, e.Marshal())
+	h.send(&hdr, e)
 }
 
-// send serializes and transmits a host-originated packet via the uplink.
-func (h *Host) send(hdr *packet.IPv4, transport []byte) {
+// send transmits a host-originated ICMP message via the uplink,
+// encoding header and message straight into one pooled buffer.
+func (h *Host) send(hdr *packet.IPv4, m *packet.ICMP) {
 	if h.uplink == nil {
 		h.countName("host.drop.unconnected")
 		return
 	}
-	out, err := hdr.AppendTo(h.net.getBuf(), transport)
+	out, err := hdr.AppendHeader(h.net.getBuf(), m.Len())
 	if err != nil {
 		h.countName("host.drop.encode")
 		return
 	}
-	h.uplink.Send(out)
+	h.uplink.Send(m.AppendTo(out))
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Hot-path microbenchmarks for the per-packet costs campaign runs are
-// made of: FIB lookups and packet serialization into pooled buffers.
+// made of: FIB lookups and the forwarding of a datagram at one hop.
 // Each pairs the optimized path with the path it replaced so
 // regressions show up as a ratio, not a guess. Route-plane lookups are
 // benchmarked over a built world in internal/topology
@@ -52,10 +52,13 @@ func BenchmarkFIBLookup(b *testing.B) {
 	})
 }
 
-// BenchmarkPacketSerialize compares serialization into a recycled pool
-// buffer (the forwarding path since the event loop started returning
-// delivered buffers) against a fresh Marshal allocation per packet.
-func BenchmarkPacketSerialize(b *testing.B) {
+// BenchmarkForwardHop compares one router hop of a ping-RR done in
+// place — Router.Receive's path: decode, stamp the option where it
+// lies, rewrite TTL and checksum — with the decode → SetRecordRoute →
+// AppendTo re-encode into a second pooled buffer that routers ran
+// before (the forwarding oracle's reference). Both start each hop by
+// copying the same datagram into a pooled buffer.
+func BenchmarkForwardHop(b *testing.B) {
 	n := New()
 	rr := packet.NewRecordRoute(9)
 	rr.Record(benchAddr(1))
@@ -63,24 +66,50 @@ func BenchmarkPacketSerialize(b *testing.B) {
 	if err := hdr.SetRecordRoute(rr); err != nil {
 		b.Fatal(err)
 	}
-	transport := packet.NewEchoRequest(7, 9, []byte("payload")).Marshal()
+	tmpl, err := hdr.Marshal(packet.NewEchoRequest(7, 9, []byte("payload")).Marshal())
+	if err != nil {
+		b.Fatal(err)
+	}
+	egress := benchAddr(5)
 
-	b.Run("pooled-append", func(b *testing.B) {
+	b.Run("in-place", func(b *testing.B) {
 		b.ReportAllocs()
+		var ip packet.IPv4
 		for i := 0; i < b.N; i++ {
-			out, err := hdr.AppendTo(n.getBuf(), transport)
+			pkt := append(n.getBuf(), tmpl...)
+			if _, err := ip.Decode(pkt); err != nil {
+				b.Fatal(err)
+			}
+			ip.TTL--
+			if d, ok := ip.RecordRouteData(); !ok || !packet.StampRecordRoute(d, egress) {
+				b.Fatal("no free RR slot")
+			}
+			n.putBuf(ip.Rewrite(pkt))
+		}
+	})
+	b.Run("reencode", func(b *testing.B) {
+		b.ReportAllocs()
+		var ip packet.IPv4
+		var rr packet.RecordRoute
+		for i := 0; i < b.N; i++ {
+			pkt := append(n.getBuf(), tmpl...)
+			payload, err := ip.Decode(pkt)
 			if err != nil {
 				b.Fatal(err)
 			}
-			n.putBuf(out)
-		}
-	})
-	b.Run("marshal", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := hdr.Marshal(transport); err != nil {
+			ip.TTL--
+			if found, err := ip.RecordRouteOption(&rr); !found || err != nil || !rr.Record(egress) {
+				b.Fatal("no free RR slot")
+			}
+			if err := ip.SetRecordRoute(&rr); err != nil {
 				b.Fatal(err)
 			}
+			out, err := ip.AppendTo(n.getBuf(), payload)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n.putBuf(pkt)
+			n.putBuf(out)
 		}
 	})
 }

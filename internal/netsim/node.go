@@ -5,14 +5,21 @@ import (
 	"net/netip"
 	"sort"
 	"time"
+
+	"recordroute/internal/packet"
 )
 
 // Node is anything attachable to the network: a router or a host.
 type Node interface {
 	// Name returns the node's unique name within its Network.
 	Name() string
-	// Receive handles a serialized IPv4 datagram arriving on iface.
-	Receive(pkt []byte, on *Iface)
+	// Receive handles a serialized IPv4 datagram arriving on iface and
+	// reports whether it handed pkt on: a router forwarding in place
+	// passes the delivered buffer to Iface.Send (now, or from an event
+	// it schedules), and ownership goes with it. Otherwise the buffer
+	// is the network's again once Receive returns, so the receiver
+	// must not retain pkt or anything aliasing it.
+	Receive(pkt []byte, on *Iface) (handedOn bool)
 	// addIface registers a new interface during Connect.
 	addIface(i *Iface)
 }
@@ -53,7 +60,8 @@ func (i *Iface) SetLoss(p float64) { i.loss = p }
 // Send schedules pkt for delivery to the link peer after the link delay.
 // Ownership of the buffer transfers to the network: it must not be
 // modified or retained by the caller afterwards (it is recycled into the
-// serialization pool once the receiver returns).
+// buffer pool when it is dropped, or once a receiver that does not hand
+// it on returns).
 func (i *Iface) Send(pkt []byte) {
 	if i.peer == nil {
 		i.net.Count("drop.unconnected", 1)
@@ -123,6 +131,9 @@ type Network struct {
 	hook       func(at time.Duration, counter string)
 	bufs       [][]byte // free list of serialization buffers
 	bufSlab    []byte   // arena the free list's buffers are carved from
+	// replyOpts is the scratch option list of node-originated echo
+	// replies; safe because the engine is single-threaded.
+	replyOpts []packet.Option
 
 	// Observability hooks (see obs.go); both nil/off by default so the
 	// per-packet paths pay only a nil check.
@@ -133,8 +144,8 @@ type Network struct {
 // bufCap is the capacity of pooled packet buffers: 128 bytes covers an
 // IPv4 header, a 40-byte RR/TS option, and every payload the simulator
 // generates. A packet that outgrows it reallocates out of the arena (the
-// append in AppendTo copies to a fresh heap slice) and simply never
-// returns to the pool — putBuf screens on capacity.
+// append in AppendTo copies to a fresh heap slice); putBuf recycles that
+// slice like any other, since it checks only for non-zero capacity.
 const bufCap = 128
 
 // bufSlabSize is the arena growth quantum: 256 buffers (32 KiB) at a
@@ -146,9 +157,14 @@ const bufSlabSize = 256 * bufCap
 // getBuf returns an empty buffer for packet serialization, reusing a
 // recycled one when available and carving a fresh one from the buffer
 // arena otherwise. Buffers flow: getBuf → AppendTo → Iface.Send →
-// delivery → putBuf. Receivers must never retain delivered packet bytes
-// beyond Receive (the long-standing Send/sniffer contract), which is
-// what makes the recycling safe.
+// delivery → (router: edit in place → Iface.Send → delivery)… →
+// putBuf. A forwarding router hands the delivered buffer on instead of
+// copying it, so one buffer carries a packet across every hop; the
+// engine recycles a delivered buffer only when the receiver did not
+// hand it on, and Send recycles one it drops. Receivers that keep a
+// buffer must never retain delivered packet bytes beyond Receive (the
+// long-standing Send/sniffer contract), which is what makes the
+// recycling safe.
 func (n *Network) getBuf() []byte {
 	if len(n.bufs) == 0 {
 		if len(n.bufSlab) < bufCap {

@@ -68,8 +68,6 @@ type Router struct {
 
 	// scratch decoding state; safe because the engine is single-threaded.
 	ip packet.IPv4
-	rr packet.RecordRoute
-	ts packet.Timestamp
 	sr packet.SourceRoute
 }
 
@@ -202,20 +200,26 @@ func (r *Router) nextID() uint16 {
 	return r.ipid
 }
 
-// Receive implements Node. It is the router's forwarding path.
-func (r *Router) Receive(pkt []byte, on *Iface) {
+// Receive implements Node. It is the router's forwarding path: a
+// packet in transit is forwarded in place. Decode parses and verifies
+// the header; the router then writes the decremented TTL, stamps its
+// egress address into the Record Route and Timestamp options the decoded
+// header aliases, refreshes the checksum (IPv4.Rewrite) and hands the
+// very buffer it was given to the egress link. Nothing is re-encoded or
+// copied.
+func (r *Router) Receive(pkt []byte, on *Iface) bool {
 	if f := r.faults; f != nil && f.offline.active(r.net.Now()) {
 		r.count(cChaosOffline)
 		if r.net.tracer != nil {
 			// The header is not decoded yet; the event carries no addresses.
 			r.net.tracer(r.net.Now(), r.name, "chaos.router.offline", netip.Addr{}, netip.Addr{})
 		}
-		return
+		return false
 	}
 	payload, err := r.ip.Decode(pkt)
 	if err != nil {
 		r.countName("router.drop.parse")
-		return
+		return false
 	}
 	hasOpts := len(r.ip.Options) > 0
 
@@ -227,14 +231,14 @@ func (r *Router) Receive(pkt []byte, on *Iface) {
 			if r.net.tracer != nil {
 				r.trace("router.drop.filter")
 			}
-			return
+			return false
 		}
 		if lim := r.optionsLimiter(); lim != nil && !lim.Allow(r.net.Now()) {
 			r.countName("router.drop.ratelimit")
 			if r.net.tracer != nil {
 				r.trace("router.drop.ratelimit")
 			}
-			return
+			return false
 		}
 		r.count(cRouterSlowpath)
 		if r.net.tracer != nil {
@@ -244,11 +248,10 @@ func (r *Router) Receive(pkt []byte, on *Iface) {
 
 	if r.ownsAddr(r.ip.Dst) {
 		if found, err := r.ip.SourceRouteOption(&r.sr); found && err == nil && !r.sr.Exhausted() {
-			r.forwardSourceRouted(payload)
-			return
+			return r.forwardSourceRouted(pkt)
 		}
 		r.deliverLocal(payload)
-		return
+		return false
 	}
 
 	// TTL handling. An "anonymous" router forwards without decrementing.
@@ -263,7 +266,7 @@ func (r *Router) Receive(pkt []byte, on *Iface) {
 			if r.net.tracer != nil {
 				r.trace("router.ttl.expired")
 			}
-			return
+			return false
 		}
 		r.ip.TTL--
 	}
@@ -274,19 +277,14 @@ func (r *Router) Receive(pkt []byte, on *Iface) {
 		if r.net.tracer != nil {
 			r.trace("router.drop.noroute")
 		}
-		return
+		return false
 	}
 
 	// Stamp Record Route with the outgoing interface address (RFC 791:
 	// "its own internet address as known in the environment into which
 	// this datagram is being forwarded").
 	if hasOpts && !r.behavior.NoStampRR {
-		if found, err := r.ip.RecordRouteOption(&r.rr); found && err == nil && !r.rr.Full() {
-			r.rr.Record(egress.Addr)
-			if err := r.ip.SetRecordRoute(&r.rr); err != nil {
-				r.countName("router.drop.rrencode")
-				return
-			}
+		if rr, ok := r.ip.RecordRouteData(); ok && packet.StampRecordRoute(rr, egress.Addr) {
 			r.count(cRouterStamped)
 			if r.net.tracer != nil {
 				r.trace("router.rr.stamped")
@@ -294,12 +292,8 @@ func (r *Router) Receive(pkt []byte, on *Iface) {
 		}
 		// The Internet Timestamp option is processed on the same slow
 		// path; a full option increments its overflow counter.
-		if found, err := r.ip.TimestampOption(&r.ts); found && err == nil {
-			r.ts.Record(egress.Addr, uint32(r.net.Now().Milliseconds()))
-			if err := r.ip.SetTimestamp(&r.ts); err != nil {
-				r.countName("router.drop.tsencode")
-				return
-			}
+		if ts, ok := r.ip.TimestampData(); ok {
+			packet.StampTimestamp(ts, egress.Addr, uint32(r.net.Now().Milliseconds()))
 			r.count(cRouterTS)
 			if r.net.tracer != nil {
 				r.trace("router.ts.stamped")
@@ -307,61 +301,53 @@ func (r *Router) Receive(pkt []byte, on *Iface) {
 		}
 	}
 
-	out, err := r.ip.AppendTo(r.net.getBuf(), payload)
-	if err != nil {
-		r.countName("router.drop.encode")
-		return
-	}
+	out := r.ip.Rewrite(pkt)
 	r.count(cRouterFwd)
 	if hasOpts && r.behavior.SlowPathDelay > 0 {
 		r.net.engine.Schedule(r.behavior.SlowPathDelay, func() { egress.Send(out) })
-		return
+		return true
 	}
 	egress.Send(out)
+	return true
 }
 
 // forwardSourceRouted handles a source-routed packet whose current
-// destination is this router: if the router honors source routing it
-// swaps in the next listed hop (recording its own outgoing address in
-// the slot, per RFC 791) and forwards; otherwise the packet is dropped,
-// the near-universal stance on today's Internet.
-func (r *Router) forwardSourceRouted(payload []byte) {
+// destination is this router (r.sr holds its decoded route): if the
+// router honors source routing it swaps in the next listed hop
+// (recording its own outgoing address in the slot, per RFC 791) and
+// forwards pkt in place, reporting that it handed pkt on; otherwise the
+// packet is dropped, the near-universal stance on today's Internet.
+func (r *Router) forwardSourceRouted(pkt []byte) bool {
 	if !r.behavior.AllowSourceRoute {
 		r.countName("router.drop.sourceroute")
-		return
+		return false
 	}
-	next := r.sr.NextHop()
-	egress := r.lookupRoute(next)
+	egress := r.lookupRoute(r.sr.NextHop())
 	if egress == nil {
 		r.countName("router.drop.noroute")
-		return
+		return false
 	}
-	newDst, ok := r.sr.Advance(egress.Addr)
+	sr, _ := r.ip.SourceRouteData() // the option r.sr was decoded from
+	newDst, ok := packet.AdvanceSourceRoute(sr, egress.Addr)
 	if !ok {
 		r.countName("router.drop.sourceroute")
-		return
+		return false
 	}
 	r.ip.Dst = newDst
-	if err := r.ip.SetSourceRoute(&r.sr); err != nil {
-		r.countName("router.drop.encode")
-		return
-	}
 	if !r.behavior.NoTTLDecrement && r.ip.TTL > 1 {
 		r.ip.TTL--
 	}
-	out, err := r.ip.AppendTo(r.net.getBuf(), payload)
-	if err != nil {
-		r.countName("router.drop.encode")
-		return
-	}
 	r.countName("router.fwd.sourceroute")
-	egress.Send(out)
+	egress.Send(r.ip.Rewrite(pkt))
+	return true
 }
 
 // deliverLocal handles packets addressed to the router itself (r.ip
 // holds the already-decoded header). Routers answer ICMP echo (including
 // ping-RR, stamping themselves and copying the option into the reply) so
 // that they can serve as probe targets and alias-resolution subjects.
+// The request is consumed here, so its Record Route option is stamped
+// where it lies and the reply's option list points at it.
 func (r *Router) deliverLocal(payload []byte) {
 	var icmp packet.ICMP
 	if r.ip.Protocol != packet.ProtocolICMP || icmp.Decode(payload) != nil {
@@ -372,29 +358,27 @@ func (r *Router) deliverLocal(payload []byte) {
 		r.countName("router.local.ignored")
 		return
 	}
-	reply := icmp.EchoReply()
 	hdr := packet.IPv4{
 		TTL:      64,
 		ID:       r.nextID(),
 		Protocol: packet.ProtocolICMP,
 		Src:      r.ip.Dst,
 		Dst:      r.ip.Src,
+		Options:  r.net.replyOpts[:0],
 	}
 	// Copy the Record Route option into the reply and stamp ourselves,
 	// as a conformant destination does.
-	if found, err := r.ip.RecordRouteOption(&r.rr); found && err == nil {
-		cp := r.rr.Clone()
+	if rr, ok := r.ip.RecordRouteData(); ok {
 		if !r.behavior.NoStampRR {
-			cp.Record(r.ip.Dst)
+			packet.StampRecordRoute(rr, r.ip.Dst)
 		}
-		if err := hdr.SetRecordRoute(cp); err != nil {
-			return
-		}
+		hdr.Options = append(hdr.Options, packet.Option{Type: packet.OptRecordRoute, Data: rr})
 	}
+	r.net.replyOpts = hdr.Options
 	if r.net.tracer != nil {
 		r.trace("router.echo.reply")
 	}
-	r.sendLocal(&hdr, reply.Marshal())
+	r.sendLocal(&hdr, icmp.EchoReply())
 }
 
 // sendTimeExceeded emits an ICMP Time Exceeded error quoting the expired
@@ -433,20 +417,21 @@ func (r *Router) sendTimeExceeded(orig []byte, on *Iface) {
 	if r.net.tracer != nil {
 		r.trace("router.icmp.timeexceeded")
 	}
-	r.sendLocal(&hdr, e.Marshal())
+	r.sendLocal(&hdr, e)
 }
 
-// sendLocal routes and transmits a router-originated packet.
-func (r *Router) sendLocal(hdr *packet.IPv4, transport []byte) {
+// sendLocal routes and transmits a router-originated ICMP message,
+// encoding header and message straight into one pooled buffer.
+func (r *Router) sendLocal(hdr *packet.IPv4, m *packet.ICMP) {
 	egress := r.lookupRoute(hdr.Dst)
 	if egress == nil {
 		r.countName("router.drop.noroute.local")
 		return
 	}
-	out, err := hdr.AppendTo(r.net.getBuf(), transport)
+	out, err := hdr.AppendHeader(r.net.getBuf(), m.Len())
 	if err != nil {
 		r.countName("router.drop.encode")
 		return
 	}
-	egress.Send(out)
+	egress.Send(m.AppendTo(out))
 }

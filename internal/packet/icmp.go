@@ -87,9 +87,12 @@ func (m *ICMP) AppendTo(b []byte) []byte {
 	return b
 }
 
+// Len returns the encoded length of the message.
+func (m *ICMP) Len() int { return icmpFixedLen + len(m.Payload) }
+
 // Marshal encodes the message into a fresh buffer.
 func (m *ICMP) Marshal() []byte {
-	return m.AppendTo(make([]byte, 0, icmpFixedLen+len(m.Payload)))
+	return m.AppendTo(make([]byte, 0, m.Len()))
 }
 
 // Decode parses an ICMPv4 message into the receiver, verifying the

@@ -54,6 +54,17 @@ func (h *IPv4) HeaderLen() int {
 // AppendTo encodes the header followed by payload onto b, computing IHL,
 // TotalLength, and the header checksum. It returns the extended buffer.
 func (h *IPv4) AppendTo(b []byte, payload []byte) ([]byte, error) {
+	b, err := h.AppendHeader(b, len(payload))
+	if err != nil {
+		return nil, err
+	}
+	return append(b, payload...), nil
+}
+
+// AppendHeader encodes just the header onto b for a payload of
+// payloadLen bytes that the caller appends next, so a transport layer
+// can be encoded straight into the same buffer (ICMP.AppendTo).
+func (h *IPv4) AppendHeader(b []byte, payloadLen int) ([]byte, error) {
 	src, ok := addr4(h.Src)
 	if !ok {
 		return nil, fmt.Errorf("%w: source %v", ErrNotIPv4, h.Src)
@@ -82,7 +93,7 @@ func (h *IPv4) AppendTo(b []byte, payload []byte) ([]byte, error) {
 	if hdrLen%4 != 0 || hdrLen > MaxIPv4HeaderLen {
 		return nil, fmt.Errorf("%w: header length %d", ErrBadHeader, hdrLen)
 	}
-	total := hdrLen + len(payload)
+	total := hdrLen + payloadLen
 	if total > 0xffff {
 		return nil, fmt.Errorf("%w: total length %d", ErrBadHeader, total)
 	}
@@ -90,7 +101,7 @@ func (h *IPv4) AppendTo(b []byte, payload []byte) ([]byte, error) {
 	binary.BigEndian.PutUint16(b[start+2:], uint16(total))
 	cs := Checksum(b[start : start+hdrLen])
 	binary.BigEndian.PutUint16(b[start+10:], cs)
-	return append(b, payload...), nil
+	return b, nil
 }
 
 // Marshal encodes the header and payload into a fresh buffer.

@@ -997,10 +997,31 @@ func writeSubmitErr(w http.ResponseWriter, err error) bool {
 	return true
 }
 
+// maxSpecBytes caps the JSON body of a job or schedule submission. A
+// spec is a few hundred bytes; the cap stops a client from streaming an
+// unbounded body into the decoder.
+const maxSpecBytes = 64 << 10
+
+// decodeSpec decodes a submission body of at most maxSpecBytes into v.
+// On failure it answers 413 for an oversized body and 400 for a
+// malformed one, and reports false.
+func decodeSpec(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		http.Error(w, fmt.Sprintf("%s larger than %d bytes", what, maxSpecBytes), http.StatusRequestEntityTooLarge)
+	default:
+		http.Error(w, fmt.Sprintf("bad %s: %v", what, err), http.StatusBadRequest)
+	}
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		http.Error(w, fmt.Sprintf("bad job spec: %v", err), http.StatusBadRequest)
+	if !decodeSpec(w, r, "job spec", &spec) {
 		return
 	}
 	job, err := s.SubmitAs(r.Header.Get("X-Tenant"), spec)
@@ -1013,8 +1034,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleScheduleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec ScheduleSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		http.Error(w, fmt.Sprintf("bad schedule spec: %v", err), http.StatusBadRequest)
+	if !decodeSpec(w, r, "schedule spec", &spec) {
 		return
 	}
 	sc, err := s.CreateSchedule(r.Header.Get("X-Tenant"), spec)

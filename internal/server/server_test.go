@@ -465,6 +465,39 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedSpecRefused sends job and schedule specs padded past
+// maxSpecBytes: each must get 413 and leave nothing queued, while a
+// normal spec on the same server is still accepted.
+func TestOversizedSpecRefused(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	pad := strings.Repeat("a", maxSpecBytes)
+	for path, body := range map[string]string{
+		"/jobs":      `{"experiment":"table1","scale":0.25,"journal":"` + pad + `"}`,
+		"/schedules": `{"job":{"experiment":"table1","scale":0.25,"journal":"` + pad + `"},"epochs":2}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+	if d := s.QueueDepth(); d != 0 {
+		t.Errorf("queue depth %d after refused specs, want 0", d)
+	}
+	if s.Job("job-1") != nil || len(s.Schedules()) != 0 {
+		t.Error("a refused spec created a job or schedule")
+	}
+	if id := submit(t, ts, smokeSpec()); id != "job-1" {
+		t.Errorf("first accepted job is %q, want job-1", id)
+	}
+}
+
 // TestServiceScaleProfileRefused pins the NewFromTopology contract the
 // cache path depends on: a profile cannot resize an already-built
 // world, so the study constructor must refuse it rather than silently
